@@ -12,7 +12,6 @@ from .dimensions import (
     NonIntegralW,
     c_sequence,
     dims_table,
-    galois_exponent,
     min_generators,
     w_demushkin_closed,
     w_free_closed,
@@ -49,9 +48,7 @@ from .series import (
     TruncSeries,
     expand_rational,
     product_identity_rhs,
-    series_inv,
     series_log,
-    series_mul,
 )
 
 __version__ = "0.1.0"
@@ -81,15 +78,12 @@ __all__ = [
     "closed_form",
     "dims_table",
     "expand_rational",
-    "galois_exponent",
     "hall_commutators",
     "hp_series",
     "min_generators",
     "parse_group_spec",
     "product_identity_rhs",
-    "series_inv",
     "series_log",
-    "series_mul",
     "to_text",
     "validate",
     "w_demushkin_closed",

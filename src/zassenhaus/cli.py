@@ -7,8 +7,8 @@ Subcommands:
     verify  run the cross-route verification suites
 
 Expression grammar: free(d), cyclic(p), demushkin(d), superpyth(d), zp(d),
-infix '*' for free products (left associative), infix 'x' for direct
-products. 'x' binds tighter than '*', so "a * b x c" means "a * (b x c)";
+infix '*' for free products, infix 'x' for direct products (both
+n-ary). 'x' binds tighter than '*', so "a * b x c" means "a * (b x c)";
 parenthesize to override. Whitespace is ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,

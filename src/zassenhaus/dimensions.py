@@ -36,7 +36,6 @@ __all__ = [
     "w_demushkin_closed",
     "power_sums_free_product_cp",
     "min_generators",
-    "galois_exponent",
 ]
 
 
@@ -144,11 +143,6 @@ def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
         w=(0,) + tuple(w),
         c=(0,) + tuple(c),
     )
-
-
-def galois_exponent(table: DimensionTable, n: int) -> int:
-    """Module-level alias for DimensionTable.galois_exponent."""
-    return table.galois_exponent(n)
 
 
 def w_free_closed(d: int, n: int) -> int:

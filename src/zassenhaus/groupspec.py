@@ -9,8 +9,8 @@ families and two products:
     zp(d)         free abelian pro-p group of rank d
     superpyth(d)  semidirect product Z_2^d with an inverting involution (p = 2)
 
-'*' is the free product (lowest precedence, left associative) and 'x' the
-direct product (binds tighter). Whitespace is insignificant.
+'*' is the free product (lowest precedence) and 'x' the direct product
+(binds tighter); both are n-ary. Whitespace is insignificant.
 """
 from __future__ import annotations
 
@@ -51,16 +51,25 @@ class SuperPyth:
     rank: int
 
 
-@dataclass(frozen=True)
-class FreeProduct:
-    left: "GroupSpec"
-    right: "GroupSpec"
+class _Product:
+    """n-ary product node; a factor of the same kind is spliced in, so
+    FreeProduct(FreeProduct(a, b), c) == FreeProduct(a, b, c)."""
+
+    def __init__(self, *factors: "GroupSpec"):
+        flat = []
+        for f in factors:
+            flat.extend(f.factors if isinstance(f, type(self)) else (f,))
+        object.__setattr__(self, "factors", tuple(flat))
 
 
-@dataclass(frozen=True)
-class DirectProduct:
-    left: "GroupSpec"
-    right: "GroupSpec"
+@dataclass(frozen=True, init=False)
+class FreeProduct(_Product):
+    factors: tuple["GroupSpec", ...]
+
+
+@dataclass(frozen=True, init=False)
+class DirectProduct(_Product):
+    factors: tuple["GroupSpec", ...]
 
 
 GroupSpec = Union[Free, Cyclic, Demushkin, Zp, SuperPyth, FreeProduct, DirectProduct]
@@ -138,7 +147,6 @@ def _tokenize(text: str):
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -156,52 +164,59 @@ class _Parser:
             raise ParseError(f"expected {what}", tok[2])
         return self.advance()
 
-    def parse_expr(self) -> GroupSpec:
-        node = self.parse_term()
-        while self.peek()[0] == "star":
+    def parse(self) -> GroupSpec:
+        # One frame per open '(' (plus the outermost): its '*' terms, each a
+        # list of its 'x' factors. Nesting grows this list, not the call stack.
+        frames = [[[]]]
+        while True:
+            while self.peek()[0] == "lparen":
+                self.advance()
+                frames.append([[]])
+            node = self.parse_leaf()
+            while True:
+                frames[-1][-1].append(node)
+                kind, value, pos = self.peek()
+                if kind == "star":
+                    frames[-1].append([])
+                    break
+                if kind == "name" and value == "x":
+                    break
+                node = _group(frames.pop())
+                if not frames:
+                    if kind != "end":
+                        raise ParseError(f"unexpected trailing input {value!r}", pos)
+                    return node
+                self.expect("rparen", "')'")
             self.advance()
-            node = FreeProduct(node, self.parse_term())
-        return node
 
-    def parse_term(self) -> GroupSpec:
-        node = self.parse_atom()
-        while self.peek()[0] == "name" and self.peek()[1] == "x":
-            self.advance()
-            node = DirectProduct(node, self.parse_atom())
-        return node
-
-    def parse_atom(self) -> GroupSpec:
+    def parse_leaf(self) -> GroupSpec:
         kind, value, pos = self.peek()
-        if kind == "lparen":
-            self.advance()
-            node = self.parse_expr()
-            self.expect("rparen", "')'")
-            return node
-        if kind == "name":
-            if value not in _LEAF_NAMES:
-                raise ParseError(f"unknown constructor {value!r}", pos)
-            self.advance()
-            self.expect("lparen", f"'(' after {value!r}")
-            kind2, value2, pos2 = self.peek()
-            if kind2 != "int":
-                raise ArityError(f"{value} takes one integer argument", pos2)
-            self.advance()
-            kind3, _, pos3 = self.peek()
-            if kind3 != "rparen":
-                raise ArityError(f"{value} takes exactly one argument", pos3)
-            self.advance()
-            return _LEAF_NAMES[value](int(value2))
-        raise ParseError("expected a group expression", pos)
+        if kind != "name":
+            raise ParseError("expected a group expression", pos)
+        if value not in _LEAF_NAMES:
+            raise ParseError(f"unknown constructor {value!r}", pos)
+        self.advance()
+        self.expect("lparen", f"'(' after {value!r}")
+        kind2, value2, pos2 = self.peek()
+        if kind2 != "int":
+            raise ArityError(f"{value} takes one integer argument", pos2)
+        self.advance()
+        kind3, _, pos3 = self.peek()
+        if kind3 != "rparen":
+            raise ArityError(f"{value} takes exactly one argument", pos3)
+        self.advance()
+        return _LEAF_NAMES[value](int(value2))
+
+
+def _group(terms: list[list[GroupSpec]]) -> GroupSpec:
+    """The node of one parenthesised group; a lone atom stands for itself."""
+    factors = [t[0] if len(t) == 1 else DirectProduct(*t) for t in terms]
+    return factors[0] if len(factors) == 1 else FreeProduct(*factors)
 
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse an expression like 'cyclic(2) * (free(1) x zp(2))'."""
-    parser = _Parser(text)
-    node = parser.parse_expr()
-    kind, value, pos = parser.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing input {value!r}", pos)
-    return node
+    return _Parser(text).parse()
 
 
 def to_text(spec: GroupSpec) -> str:
@@ -216,50 +231,53 @@ def to_text(spec: GroupSpec) -> str:
         return f"zp({spec.rank})"
     if isinstance(spec, SuperPyth):
         return f"superpyth({spec.rank})"
+    # Plain loops: a comprehension or map would add stack depth to each level
+    # of this recursion, which descends once per alternation of * and x.
     if isinstance(spec, FreeProduct):
-        left = to_text(spec.left)
-        right = to_text(spec.right)
-        if isinstance(spec.right, FreeProduct):
-            right = f"({right})"
-        return f"{left} * {right}"
+        parts = []
+        for f in spec.factors:
+            parts.append(to_text(f))
+        return " * ".join(parts)
     if isinstance(spec, DirectProduct):
-        left = to_text(spec.left)
-        right = to_text(spec.right)
-        if isinstance(spec.left, FreeProduct):
-            left = f"({left})"
-        if isinstance(spec.right, (FreeProduct, DirectProduct)):
-            right = f"({right})"
-        return f"{left} x {right}"
+        parts = []
+        for f in spec.factors:
+            parts.append(f"({to_text(f)})" if isinstance(f, FreeProduct) else to_text(f))
+        return " x ".join(parts)
     raise TypeError(f"not a group spec: {spec!r}")
 
 
 def validate(spec: GroupSpec, p: int) -> None:
-    """Check the expression against the working prime; raise on mismatch."""
+    """Check the expression against the working prime; raise on mismatch.
+
+    Leaves are checked left to right, so the first bad one is reported.
+    """
     if not is_prime(p):
         raise PrimeMismatch(f"working prime must be prime, got {p}")
-    if isinstance(spec, Cyclic):
-        if spec.order != p:
-            raise PrimeMismatch(
-                f"cyclic({spec.order}) does not match the working prime {p}"
-            )
-    elif isinstance(spec, SuperPyth):
-        if p != 2:
-            raise PrimeMismatch(f"superpyth({spec.rank}) is only defined at p = 2")
-        if spec.rank < 0:
-            raise RankOutOfRange(f"superpyth rank must be >= 0, got {spec.rank}")
-    elif isinstance(spec, (Free, Zp)):
-        if spec.rank < 0:
-            raise RankOutOfRange(f"{to_text(spec)}: rank must be >= 0")
-    elif isinstance(spec, Demushkin):
-        if spec.rank < 2:
-            raise RankOutOfRange(
-                f"demushkin rank must be >= 2, got {spec.rank}"
-            )
-    elif isinstance(spec, (FreeProduct, DirectProduct)):
-        validate(spec.left, p)
-        validate(spec.right, p)
-    else:
-        raise TypeError(f"not a group spec: {spec!r}")
+    stack = [spec]
+    while stack:
+        spec = stack.pop()
+        if isinstance(spec, _Product):
+            stack.extend(reversed(spec.factors))
+        elif isinstance(spec, Cyclic):
+            if spec.order != p:
+                raise PrimeMismatch(
+                    f"cyclic({spec.order}) does not match the working prime {p}"
+                )
+        elif isinstance(spec, SuperPyth):
+            if p != 2:
+                raise PrimeMismatch(f"superpyth({spec.rank}) is only defined at p = 2")
+            if spec.rank < 0:
+                raise RankOutOfRange(f"superpyth rank must be >= 0, got {spec.rank}")
+        elif isinstance(spec, (Free, Zp)):
+            if spec.rank < 0:
+                raise RankOutOfRange(f"{to_text(spec)}: rank must be >= 0")
+        elif isinstance(spec, Demushkin):
+            if spec.rank < 2:
+                raise RankOutOfRange(
+                    f"demushkin rank must be >= 2, got {spec.rank}"
+                )
+        else:
+            raise TypeError(f"not a group spec: {spec!r}")
 
 
 def _geometric(order: int, step: int) -> TruncSeries:
@@ -269,8 +287,8 @@ def _geometric(order: int, step: int) -> TruncSeries:
 def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
     """Hilbert series of the graded restricted Lie algebra attached to the group.
 
-    Leaves get their known series; a free product G1 * G2 composes by
-    P = (P1^-1 + P2^-1 - 1)^-1 and a direct product multiplies.
+    Leaves get their known series; a free product of k factors composes by
+    P = (P_1^-1 + ... + P_k^-1 - (k - 1))^-1 and a direct product multiplies.
     """
     validate(spec, p)
     return _hp(spec, p, order)
@@ -297,11 +315,15 @@ def _hp(spec: GroupSpec, p: int, order: int) -> TruncSeries:
             k += 2
         return s
     if isinstance(spec, FreeProduct):
-        s1 = _hp(spec.left, p, order)
-        s2 = _hp(spec.right, p, order)
-        return (s1.inverse() + s2.inverse() - 1).inverse()
+        inv = TruncSeries(order, [1 - len(spec.factors)])
+        for f in spec.factors:
+            inv = inv + _hp(f, p, order).inverse()
+        return inv.inverse()
     if isinstance(spec, DirectProduct):
-        return _hp(spec.left, p, order) * _hp(spec.right, p, order)
+        s = TruncSeries.one(order)
+        for f in spec.factors:
+            s = s * _hp(f, p, order)
+        return s
     raise TypeError(f"not a group spec: {spec!r}")
 
 
@@ -347,18 +369,20 @@ def _closed(spec: GroupSpec, p: int) -> RationalFunction | None:
     if isinstance(spec, SuperPyth):
         return None
     if isinstance(spec, FreeProduct):
-        r1 = _closed(spec.left, p)
-        r2 = _closed(spec.right, p)
-        if r1 is None or r2 is None:
-            return None
-        n1, d1 = r1.num, r1.den
-        n2, d2 = r2.num, r2.den
-        # P^-1 = P1^-1 + P2^-1 - 1, on numerators and denominators
-        return RationalFunction(n1 * n2, d1 * n2 + d2 * n1 - n1 * n2)
+        # inv = P^-1 = P_1^-1 + ... + P_k^-1 - (k - 1), as num / den
+        inv = RationalFunction([1 - len(spec.factors)])
+        for f in spec.factors:
+            r = _closed(f, p)
+            if r is None:
+                return None
+            inv = RationalFunction(inv.num * r.num + r.den * inv.den, inv.den * r.num)
+        return RationalFunction(inv.den, inv.num)
     if isinstance(spec, DirectProduct):
-        r1 = _closed(spec.left, p)
-        r2 = _closed(spec.right, p)
-        if r1 is None or r2 is None:
-            return None
-        return r1 * r2
+        rf = RationalFunction([1])
+        for f in spec.factors:
+            r = _closed(f, p)
+            if r is None:
+                return None
+            rf = rf * r
+        return rf
     raise TypeError(f"not a group spec: {spec!r}")

@@ -477,16 +477,6 @@ class TruncSeries:
         return f"TruncSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"
 
 
-def series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
-    """Product truncated at the smaller of the two orders."""
-    return a * b
-
-
-def series_inv(a: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse; requires a nonzero constant term."""
-    return a.inverse()
-
-
 def series_log(a: TruncSeries) -> TruncSeries:
     """Formal logarithm; requires constant term 1."""
     return a.log()

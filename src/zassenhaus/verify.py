@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 from . import finite as fin
 from .dimensions import (
@@ -161,10 +160,6 @@ def superpyth_c_expected(d: int, order: int) -> list[int]:
     return out
 
 
-def _cyclic_chain(p: int, copies: int) -> GroupSpec:
-    return reduce(FreeProduct, [Cyclic(p)] * copies)
-
-
 def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
     out = []
 
@@ -249,7 +244,7 @@ def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
                 out.append(_fail(name, f"superpyth({d})", n, rhs[n], lhs[n]))
 
         for d in range(1, 6):
-            chain = _cyclic_chain(2, d + 1)
+            chain = FreeProduct(*[Cyclic(2)] * (d + 1))
             t_chain = dims_table(chain, 2, order)
             t_free = dims_table(Free(d), 2, order)
             name = f"{d + 1} involution factors vs free({d})"
@@ -293,13 +288,12 @@ def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
 
 
 def _jl_polynomial(c: list[int], p: int) -> TruncPoly:
-    """prod_n (1 + t^n + ... + t^(n(p-1)))^(c_n), as an exact polynomial."""
-    poly = TruncPoly([1])
-    for n, cn in enumerate(c, start=1):
-        if cn:
-            step = TruncPoly([1 if k % n == 0 else 0 for k in range(n * (p - 1) + 1)])
-            poly = poly * step ** cn
-    return poly
+    """prod_n (1 + t^n + ... + t^(n(p-1)))^(c_n), as an exact polynomial.
+
+    It is the product identity's right-hand side taken to its full degree.
+    """
+    degree = (p - 1) * sum(n * cn for n, cn in enumerate(c, start=1))
+    return TruncPoly(product_identity_rhs(c, p, degree).int_coeffs())
 
 
 def _dims_until_trivial(result: fin.FiltrationResult) -> list[int]:

@@ -54,6 +54,19 @@ class TestDims:
         assert code == 0
         assert len(out.strip().splitlines()) == 17  # header + default N=16
 
+    def test_long_free_product_chain(self, capsys):
+        chain = " * ".join(["cyclic(2)"] * 1200)
+        code, out, err = run(["dims", chain, "--max-n", "8", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        assert json.loads(out)["c"][1] == 1200
+
+    def test_deep_parentheses(self, capsys):
+        argv = ["dims", "(" * 400 + "free(1)" + ")" * 400, "--max-n", "8", "--format", "json"]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        _, plain, _ = run(["dims", "free(1)", "--max-n", "8", "--format", "json"], capsys)
+        assert out == plain
+
 
 class TestSeries:
     def test_coefficient_list(self, capsys):

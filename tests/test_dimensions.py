@@ -13,7 +13,6 @@ from zassenhaus.dimensions import (
     c_sequence,
     demushkin_power_sum,
     dims_table,
-    galois_exponent,
     min_generators,
     power_sums_free_product_cp,
     w_demushkin_closed,
@@ -112,8 +111,8 @@ class TestDimsTable:
 
     def test_galois_exponent_bounds(self):
         t = dims_table(Free(1), 2, 4)
-        assert galois_exponent(t, 1) == 0
-        assert galois_exponent(t, 5) == sum(t.c[1:5])
+        assert t.galois_exponent(1) == 0
+        assert t.galois_exponent(5) == sum(t.c[1:5])
         with pytest.raises(OutOfRange):
             t.galois_exponent(6)
         with pytest.raises(OutOfRange):

@@ -43,6 +43,22 @@ class TestParser:
         got = parse_group_spec("(free(1) * free(2)) x zp(1)")
         assert got == DirectProduct(FreeProduct(Free(1), Free(2)), Zp(1))
 
+    def test_nested_products_flatten(self):
+        a, b, c = Free(1), Cyclic(2), Zp(1)
+        assert FreeProduct(a, FreeProduct(b, c)) == FreeProduct(a, b, c)
+        assert FreeProduct(a, FreeProduct(b, c)).factors == (a, b, c)
+        assert DirectProduct(DirectProduct(a, b), c) == DirectProduct(a, b, c)
+        assert FreeProduct(a, DirectProduct(b, c)).factors == (a, DirectProduct(b, c))
+
+    def test_deep_alternating_nesting(self):
+        # free(1) * (free(1) x (free(1) * (...))), 300 parenthesis levels
+        text = "free(1)"
+        for i in range(300):
+            text = f"free(1) {'*x'[i % 2]} ({text})"
+        spec = parse_group_spec(text)
+        rf = closed_form(spec, 2).rational
+        assert hp_series(spec, 2, 8) == expand_rational(rf, 8)
+
     def test_unknown_constructor(self):
         with pytest.raises(ParseError) as exc:
             parse_group_spec("braid(3)")
@@ -97,6 +113,10 @@ class TestRoundTrip:
     def test_parens_kept_when_needed(self):
         spec = parse_group_spec("(cyclic(2) * free(1)) x zp(1)")
         assert to_text(spec) == "(cyclic(2) * free(1)) x zp(1)"
+
+    def test_redundant_parens_dropped(self):
+        spec = parse_group_spec("free(1) * (free(2) * zp(1))")
+        assert to_text(spec) == "free(1) * free(2) * zp(1)"
 
 
 class TestValidate:
