@@ -1,9 +1,9 @@
 """Brute-force cross-checks on honest finite groups.
 
 The filtration G_(n) = G_(ceil(n/p))^p prod [G_(i), G_(j)] is evaluated
-literally, scanning every commutator pair with vectorized matrix
-arithmetic. Nothing here knows any series formula, which is what makes
-the agreement informative.
+as a normal closure of p-th powers and of commutators of generators, with
+vectorized matrix arithmetic. Nothing here knows any series formula, which
+is what makes the agreement informative.
 """
 import numpy as np
 

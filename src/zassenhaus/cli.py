@@ -33,7 +33,7 @@ from .groupspec import (
     to_text,
 )
 from .hall import basis_json_dict, basis_text_lines, zassenhaus_basis
-from .series import format_poly
+from .series import NonIntegralLog, format_poly
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -208,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=("roundtrip", "closedforms", "finite", "all"),
                           default="all")
     p_verify.add_argument("--include-slow", action="store_true",
-                          help="include the order-32768 finite-group check (takes minutes)")
+                          help="include the group-algebra check of the order-729 "
+                               "unitriangular group (about 15 s)")
     common(p_verify)
     return parser
 
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (NonIntegralW, NegativeDimension) as exc:
+    except (NonIntegralW, NegativeDimension, NonIntegralLog) as exc:
         print(f"integrality error: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
     except ValidationError as exc:

@@ -40,10 +40,11 @@ __all__ = [
 
 
 class NonIntegralW(ValueError):
-    """w_n came out non-integral: the input is not a group dimension series."""
+    """w_n, or a power sum s_n behind it, came out non-integral: the input is
+    not a group dimension series, or a closed formula is wrong."""
 
-    def __init__(self, n: int, value: Fraction):
-        super().__init__(f"w_{n} = {value} is not an integer")
+    def __init__(self, n: int, value: Fraction, symbol: str = "w"):
+        super().__init__(f"{symbol}_{n} = {value} is not an integer")
         self.degree = n
         self.value = value
 
@@ -131,8 +132,7 @@ def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
     """Run the whole pipeline for a group expression."""
     series = hp_series(spec, p, order)
     a = series.int_coeffs()
-    assert a[0] == 1
-    b = series.log().coeffs[1:]
+    b = series.log().coeffs[1:]  # raises ConstantTermNotOne unless a_0 = 1
     w = w_sequence(b)
     c = c_sequence(w, p)
     return DimensionTable(
@@ -155,7 +155,8 @@ def w_free_closed(d: int, n: int) -> int:
         if mu:
             acc += mu * Fraction(d) ** (n // m)
     acc /= n
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise NonIntegralW(n, acc)
     return acc.numerator
 
 
@@ -181,7 +182,8 @@ def w_demushkin_power_sum(d: int, n: int) -> int:
         if mu:
             acc += mu * demushkin_power_sum(d, m)
     acc /= n
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise NonIntegralW(n, acc)
     return acc.numerator
 
 
@@ -202,10 +204,12 @@ def w_demushkin_closed(d: int, n: int) -> int:
         inner = Fraction(0)
         for i in range(m // 2 + 1):
             inner += (-1) ** i * Fraction(m, m - i) * comb(m - i, i) * Fraction(d) ** (m - 2 * i)
-        assert inner.denominator == 1
+        if inner.denominator != 1:
+            raise NonIntegralW(m, inner, "s")
         acc += mu * inner
     acc /= n
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise NonIntegralW(n, acc)
     return acc.numerator
 
 
@@ -244,7 +248,8 @@ def power_sums_free_product_cp(d: int, p: int, n: int) -> int:
         for k in ks:
             multinomial //= factorial(k)
         acc += Fraction(n, big_k) * multinomial * Fraction(d) ** big_k
-    assert acc.denominator == 1
+    if acc.denominator != 1:
+        raise NonIntegralW(n, acc, "s")
     return acc.numerator
 
 

@@ -6,6 +6,18 @@ fixed family of strictly-upper positions that is closed under multiplication
 Elements are indexed by mixed-radix encoding of the supported entries, so the
 index itself is the canonical interned form; multiplication stays on demand
 as batched matrix products instead of a stored composition table.
+
+Both oracle routines work from generating sets, using two facts of group
+theory and nothing of the series pipeline they check:
+
+(a) for normal subgroups H = <X> and K = <Y>, [H, K] is the normal closure
+    of {[x, y] : x in X, y in Y}.  Proof: that closure lies in the normal
+    subgroup [H, K]; modulo it x and y commute for all generators, so H and
+    K commute and [H, K] lies in it too.
+(b) for any generating set S of G and the augmentation ideal I of F_p[G],
+    I^(n+1) = span{ b (s - 1) : b in basis(I^n), s in S }.  Proof:
+    gh - 1 = g(h - 1) + (g - 1) and I^n is an ideal, so b (g - 1) for every
+    g in G is a combination of such rows, by induction on word length.
 """
 from __future__ import annotations
 
@@ -108,6 +120,25 @@ class FiniteGroup:
             e >>= 1
         return result
 
+    def generators(self) -> np.ndarray:
+        """Indices of the elementary matrices 1 + E_ij that generate the group.
+
+        These sit at the support positions (i, j) that are not a product
+        (i, k)(k, j) of two support positions; every other 1 + E_ij is a
+        commutator of shorter ones.  For U(m, p) they are the m - 1
+        superdiagonal matrices, for a block-diagonal product the union of the
+        blocks' generators.
+        """
+        support = set(self.positions)
+        return np.array(
+            [
+                self.p ** k
+                for k, (i, j) in enumerate(self.positions)
+                if not any((i, m) in support and (m, j) in support for m in range(i + 1, j))
+            ],
+            dtype=np.int64,
+        )
+
     # -- batched pair scans ----------------------------------------------
 
     def _pair_scan(self, a, b, combine) -> np.ndarray:
@@ -187,19 +218,43 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     )
 
 
+def _closure(group: FiniteGroup, candidates, conjugate_by) -> tuple[np.ndarray, list[int]]:
+    """Subgroup generated by the candidates and their conjugates by conjugate_by.
+
+    Candidates are taken one at a time; one already in the subgroup is
+    skipped, so the kept generators number at most log_p of the order.  Each
+    kept element extends the subgroup by right multiplication, and its
+    conjugates by conjugate_by join the candidates: with a generating set of
+    the group there the result is the normal closure.  Returns the sorted
+    elements and the kept generators.
+    """
+    member = np.zeros(group.order, dtype=bool)
+    member[group.identity] = True
+    elements = [np.array([group.identity], dtype=np.int64)]
+    kept: list[int] = []
+    pending = [int(c) for c in np.asarray(candidates, dtype=np.int64).ravel()]
+    for c in pending:  # grows while iterating
+        if member[c]:
+            continue
+        kept.append(c)
+        gens = np.array(kept, dtype=np.int64)
+        # the coset H c is disjoint from H; right multiples of new elements
+        # by every generator close the union under multiplication
+        frontier = group.products(np.concatenate(elements), [c])
+        while frontier.size:
+            member[frontier] = True
+            elements.append(frontier)
+            prods = group.products(frontier, gens)
+            frontier = prods[~member[prods]]
+        if len(conjugate_by):
+            pending.extend(group.conjugates(conjugate_by, [c]).tolist())
+    return np.flatnonzero(member), kept
+
+
 def subgroup_closure(group: FiniteGroup, gens) -> frozenset[int]:
-    """Breadth-first closure of a generator set under multiplication."""
-    gens = np.unique(np.asarray(list(gens), dtype=np.int64))
-    known = {int(group.identity)}
-    known.update(int(g) for g in gens)
-    frontier = np.array(sorted(known), dtype=np.int64)
-    gen_arr = np.array(sorted(known), dtype=np.int64)
-    while frontier.size:
-        prods = group.products(frontier, gen_arr)
-        fresh = [int(i) for i in prods if int(i) not in known]
-        known.update(fresh)
-        frontier = np.array(fresh, dtype=np.int64)
-    return frozenset(known)
+    """Subgroup generated by gens."""
+    elements, _ = _closure(group, list(gens), ())
+    return frozenset(elements.tolist())
 
 
 @dataclass(frozen=True)
@@ -225,28 +280,32 @@ def _log_p_exact(ratio: int, p: int) -> int:
 
 
 def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationResult:
-    """Filtration computed literally from its recursive definition:
+    """Filtration from Lazard's recursion
 
         G_(1) = G,
         G_(n) = < p-th powers of G_(ceil(n/p)),  [G_(i), G_(j)] for i + j = n >.
 
-    All commutator pairs are scanned; no structure of the group is assumed.
+    Every term is normal, and the p-th powers of a normal subgroup form a set
+    closed under conjugation, so by fact (a) of the module docstring G_(n) is
+    the normal closure of the p-th powers of all elements of G_(ceil(n/p))
+    and of [x, y] for x, y in the kept generators of G_(i), G_(j), i <= j.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    chain_sets: list[frozenset[int]] = [frozenset(range(group.order))]
+    p = group.p
+    generators = group.generators()
     chain_arrs: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
+    chain_gens: list[np.ndarray] = [generators]
     for n in range(2, depth + 2):
-        parts = [group.power(chain_arrs[-(-n // group.p) - 1], group.p)]
-        for i in range(1, n):
-            j = n - i
-            if j < 1:
-                continue
-            parts.append(group.commutators(chain_arrs[i - 1], chain_arrs[j - 1]))
-        gens = np.unique(np.concatenate(parts))
-        closure = subgroup_closure(group, gens)
-        chain_sets.append(closure)
-        chain_arrs.append(np.array(sorted(closure), dtype=np.int64))
+        parts = [
+            group.commutators(chain_gens[i - 1], chain_gens[n - i - 1])
+            for i in range(1, n // 2 + 1)
+        ]
+        parts.append(np.unique(group.power(chain_arrs[-(-n // p) - 1], p)))
+        elements, kept = _closure(group, np.concatenate(parts), generators)
+        chain_arrs.append(elements)
+        chain_gens.append(np.array(kept, dtype=np.int64))
+    chain_sets = [frozenset(arr.tolist()) for arr in chain_arrs]
     dims = []
     for n in range(depth):
         top, bottom = len(chain_sets[n]), len(chain_sets[n + 1])
@@ -285,28 +344,27 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     """Dimensions a_n of I^n / I^(n+1) for the augmentation ideal I of F_p[G].
 
     Returns a_0..a_depth; once I^n vanishes the remaining entries are 0.
-    Vectors live in F_p^|G| indexed by group elements; right multiplication
-    by g permutes coordinates, so I^(n+1) is spanned by b g - b over basis
-    vectors b of I^n and all g.
+    Vectors live in F_p^|G| indexed by group elements.  I has the basis
+    g - 1 for g != 1; by fact (b) of the module docstring I^(n+1) is spanned
+    by b s - b over basis vectors b of I^n and the generators s, and right
+    multiplication by s permutes coordinates.
     """
     n_el = group.order
     p = group.p
     all_idx = np.arange(n_el, dtype=np.int64)
-    # column permutation for right multiplication by g: (v g)[h g] = v[h]
-    perms = [group.mult(all_idx, np.int64(g)) for g in range(n_el)]
+    # column permutation for right multiplication by s: (v s)[h s] = v[h]
+    perms = [group.mult(all_idx, s) for s in group.generators()]
 
     basis = np.zeros((n_el - 1, n_el), dtype=np.int64)
-    for g in range(1, n_el):
-        basis[g - 1, g] = 1
-        basis[g - 1, group.identity] = p - 1
-    basis = row_echelon_mod_p(basis, p)
+    basis[:, 1:] = np.eye(n_el - 1, dtype=np.int64)
+    basis[:, group.identity] = p - 1
 
     ranks = [n_el, basis.shape[0]]
     while basis.shape[0] and len(ranks) <= depth:
         stacked = []
-        for g in range(1, n_el):
+        for perm in perms:
             moved = np.zeros_like(basis)
-            moved[:, perms[g]] = basis
+            moved[:, perm] = basis
             stacked.append((moved - basis) % p)
         basis = row_echelon_mod_p(np.vstack(stacked), p)
         ranks.append(basis.shape[0])

@@ -74,6 +74,10 @@ class DirectProduct(_Product):
 
 GroupSpec = Union[Free, Cyclic, Demushkin, Zp, SuperPyth, FreeProduct, DirectProduct]
 
+# Parsed expressions may nest '*' inside 'x' inside '*' ... at most this many
+# levels deep; _hp, _closed and to_text recurse once per level.
+MAX_ALTERNATIONS = 500
+
 _LEAF_NAMES = {
     "free": Free,
     "cyclic": Cyclic,
@@ -166,26 +170,31 @@ class _Parser:
 
     def parse(self) -> GroupSpec:
         # One frame per open '(' (plus the outermost): its '*' terms, each a
-        # list of its 'x' factors. Nesting grows this list, not the call stack.
+        # list of its 'x' factors, held as (node, alternation depth) pairs.
+        # Nesting grows this list, not the call stack.
         frames = [[[]]]
         while True:
             while self.peek()[0] == "lparen":
                 self.advance()
                 frames.append([[]])
-            node = self.parse_leaf()
+            item = (self.parse_leaf(), 0)
             while True:
-                frames[-1][-1].append(node)
+                frames[-1][-1].append(item)
                 kind, value, pos = self.peek()
                 if kind == "star":
                     frames[-1].append([])
                     break
                 if kind == "name" and value == "x":
                     break
-                node = _group(frames.pop())
+                item = _group(frames.pop())
+                if item[1] > MAX_ALTERNATIONS:
+                    raise ParseError(
+                        f"'*' and 'x' nest more than {MAX_ALTERNATIONS} levels deep", pos
+                    )
                 if not frames:
                     if kind != "end":
                         raise ParseError(f"unexpected trailing input {value!r}", pos)
-                    return node
+                    return item[0]
                 self.expect("rparen", "')'")
             self.advance()
 
@@ -208,10 +217,18 @@ class _Parser:
         return _LEAF_NAMES[value](int(value2))
 
 
-def _group(terms: list[list[GroupSpec]]) -> GroupSpec:
-    """The node of one parenthesised group; a lone atom stands for itself."""
-    factors = [t[0] if len(t) == 1 else DirectProduct(*t) for t in terms]
-    return factors[0] if len(factors) == 1 else FreeProduct(*factors)
+def _group(terms: list[list[tuple[GroupSpec, int]]]) -> tuple[GroupSpec, int]:
+    """The node of one parenthesised group and its depth of product nodes;
+    a lone atom stands for itself."""
+    factors = [t[0] if len(t) == 1 else _product(DirectProduct, t) for t in terms]
+    return factors[0] if len(factors) == 1 else _product(FreeProduct, factors)
+
+
+def _product(kind: type, items: list[tuple[GroupSpec, int]]) -> tuple[GroupSpec, int]:
+    # a factor of the same kind is spliced in and keeps its depth; any other
+    # factor ends up one level below the new node
+    depth = max(d if isinstance(f, kind) else d + 1 for f, d in items)
+    return kind(*[f for f, _ in items]), depth
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -38,6 +38,15 @@ class NegativeExponent(SeriesError):
     """A product exponent that must be a dimension (hence >= 0) was negative."""
 
 
+class NonIntegralLog(SeriesError):
+    """k * b_k of log P came out non-integral for an integral P."""
+
+    def __init__(self, k: int, value: Fraction):
+        super().__init__(f"{k} * b_{k} = {value} is not an integer")
+        self.degree = k
+        self.value = value
+
+
 class OrderExceeded(SeriesError):
     """A coefficient beyond the stored truncation order was requested."""
 
@@ -415,7 +424,8 @@ class TruncSeries:
         """Formal logarithm via the recurrence a * (log a)' = a'.
 
         For an integer-coefficient input the k-th derivative coefficient
-        k * b_k stays integral; that is asserted, not rechecked by callers.
+        k * b_k stays integral; NonIntegralLog is raised otherwise, so callers
+        need not recheck.
         """
         a = self._coeffs
         if a[0] != 1:
@@ -429,8 +439,8 @@ class TruncSeries:
                 if a[j] != 0:
                     acc -= a[j] * dlog[k - j]
             dlog[k] = acc
-            if integral_input:
-                assert acc.denominator == 1
+            if integral_input and acc.denominator != 1:
+                raise NonIntegralLog(k + 1, acc)
         out = [Fraction(0)] * (n + 1)
         for k in range(n):
             out[k + 1] = dlog[k] / (k + 1)

@@ -1,11 +1,15 @@
 """Command-line interface: formats, schemas, exit codes."""
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zassenhaus
 from zassenhaus import cli
 from zassenhaus.dimensions import NonIntegralW
+from zassenhaus.series import NonIntegralLog
 from zassenhaus.verify import CheckResult
 
 
@@ -182,6 +186,23 @@ class TestExitCodes:
         code, out, err = run(["dims", "free(2)"], capsys)
         assert code == 4 and out == "" and "integrality error" in err
 
+    def test_nonintegral_log_maps_to_4(self, capsys, monkeypatch):
+        def explode(spec, p, order):
+            raise NonIntegralLog(2, Fraction(1, 2))
+
+        monkeypatch.setattr(cli, "dims_table", explode)
+        code, out, err = run(["dims", "free(2)"], capsys)
+        assert code == 4 and out == "" and "integrality error" in err
+
+    def test_deep_alternating_nesting_is_parse_error(self, capsys):
+        text = "free(1)"
+        for i in range(1000):
+            text = f"free(1) {'*x'[i % 2]} ({text})"
+        code, out, err = run(["dims", text, "--max-n", "4"], capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "parse error" in err and "500" in err
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0
@@ -190,3 +211,13 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         code, _, err = run([], capsys)
         assert code == 2
+
+
+def test_no_assert_in_library():
+    """Checks are explicit raises: python -O must not change behaviour."""
+    found = []
+    for path in sorted(Path(zassenhaus.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

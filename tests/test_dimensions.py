@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zassenhaus import dimensions
 from zassenhaus.dimensions import (
     NegativeDimension,
     NonIntegralW,
@@ -22,6 +23,7 @@ from zassenhaus.dimensions import (
 )
 from zassenhaus.groupspec import Cyclic, Demushkin, Free, parse_group_spec
 from zassenhaus.numtheory import divisors, is_prime, moebius
+from zassenhaus.series import ConstantTermNotOne, TruncSeries
 
 
 class TestNumtheory:
@@ -68,6 +70,43 @@ class TestWSequence:
             w_sequence([Fraction(0), Fraction(1, 2)])
         assert exc.value.degree == 2
         assert exc.value.value == Fraction(1, 2)
+
+
+class TestIntegralityChecks:
+    """The checks are plain raises, so they hold under python -O too; a
+    broken helper makes the closed formulas non-integral on purpose."""
+
+    def test_w_free_closed(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "divisors", lambda n: [1])
+        with pytest.raises(NonIntegralW, match="w_3 = 8/3"):
+            w_free_closed(2, 3)
+
+    def test_w_demushkin_power_sum(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "divisors", lambda n: [1])
+        with pytest.raises(NonIntegralW, match="w_2 = -3/2"):
+            w_demushkin_power_sum(3, 2)
+
+    def test_w_demushkin_closed_inner_power_sum(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "comb", lambda a, b: 1)
+        with pytest.raises(NonIntegralW, match="s_3 = -1/2"):
+            w_demushkin_closed(1, 3)
+
+    def test_w_demushkin_closed(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "divisors", lambda n: [1])
+        with pytest.raises(NonIntegralW, match="w_2 = -3/2"):
+            w_demushkin_closed(3, 2)
+
+    def test_power_sums_free_product_cp(self, monkeypatch):
+        monkeypatch.setattr(dimensions, "_exponent_tuples", lambda n, p: iter([(2, 0)]))
+        with pytest.raises(NonIntegralW, match="s_1 = 1/2"):
+            power_sums_free_product_cp(1, 2, 1)
+
+    def test_dims_table_constant_term(self, monkeypatch):
+        monkeypatch.setattr(
+            dimensions, "hp_series", lambda spec, p, order: TruncSeries(2, [2, 1, 0])
+        )
+        with pytest.raises(ConstantTermNotOne):
+            dims_table(Free(1), 2, 2)
 
 
 class TestCSequence:

@@ -1,4 +1,6 @@
 """Brute-force finite p-group oracle."""
+import time
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,24 @@ class TestArithmetic:
         assert set(comms.tolist()) == {g.identity}
 
 
+class TestGenerators:
+    def test_unitriangular_superdiagonal(self):
+        for m, p in ((2, 2), (3, 3), (5, 2)):
+            g = fin.unitriangular_group(m, p)
+            mats = g.matrices(g.generators())
+            assert len(mats) == m - 1
+            for k, mat in enumerate(mats):
+                want = np.eye(m, dtype=mat.dtype)
+                want[k, k + 1] = 1
+                assert (mat == want).all()
+
+    def test_direct_product_takes_union(self):
+        g = fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2))
+        mats = g.matrices(g.generators())
+        corners = sorted(tuple(np.argwhere(np.triu(m, 1))[0].tolist()) for m in mats)
+        assert corners == [(0, 1), (1, 2), (2, 3), (4, 5)]
+
+
 class TestClosure:
     def test_central_element_generates_cyclic(self):
         g = fin.unitriangular_group(3, 3)
@@ -158,6 +178,15 @@ class TestFiltration:
             conj = g.conjugates(everyone, sorted(sub))
             assert set(conj.tolist()) <= sub
 
+    def test_u4_f5_members_are_normal(self):
+        # exponent 5, so p-th powers are trivial: x_14 = [x_12, x_24] enters
+        # G_(2) only through the normal closure of the generator commutators
+        g = fin.unitriangular_group(4, 5)
+        f = fin.zassenhaus_filtration_finite(g, 4)
+        assert f.dims == (3, 2, 1, 0)
+        for sub in f.subgroups:
+            assert set(g.conjugates(g.generators(), sorted(sub)).tolist()) <= sub
+
     def test_members_nested(self):
         f = fin.zassenhaus_filtration_finite(fin.unitriangular_group(4, 2), 4)
         for big, small in zip(f.subgroups, f.subgroups[1:]):
@@ -195,3 +224,94 @@ class TestGroupAlgebra:
         ]:
             dims = fin.group_algebra_aug_dims(g, 4 * g.p)
             assert sum(dims) == g.order
+
+
+# -- independence: the generating-set routines against literal all-pairs ones
+
+
+def _literal_filtration(group, depth):
+    """G_(n) = < G_(ceil(n/p))^p, [G_(i), G_(j)] for i + j = n >, scanning
+    every element and every commutator pair; no generating sets."""
+    chain = [frozenset(range(group.order))]
+    for n in range(2, depth + 2):
+        parts = [group.power(sorted(chain[-(-n // group.p) - 1]), group.p)]
+        for i in range(1, n):
+            parts.append(group.commutators(sorted(chain[i - 1]), sorted(chain[n - i - 1])))
+        chain.append(fin.subgroup_closure(group, np.unique(np.concatenate(parts))))
+    dims = []
+    for big, small in zip(chain, chain[1:]):
+        ratio, e = len(big) // len(small), 0
+        while ratio > 1:
+            ratio //= group.p
+            e += 1
+        dims.append(e)
+    return tuple(chain), tuple(dims)
+
+
+def _literal_aug_dims(group, depth):
+    """Ranks of I^n, stacking b g - b over every g in G."""
+    p, n_el = group.p, group.order
+    everyone = np.arange(n_el)
+    perms = [group.mult(everyone, g) for g in range(1, n_el)]
+    basis = np.zeros((n_el - 1, n_el), dtype=np.int64)
+    for g in range(1, n_el):
+        basis[g - 1, g], basis[g - 1, 0] = 1, p - 1
+    ranks = [n_el, n_el - 1]
+    while len(ranks) <= depth + 1:
+        stacked = []
+        for perm in perms:
+            moved = np.zeros_like(basis)
+            moved[:, perm] = basis
+            stacked.append((moved - basis) % p)
+        basis = fin.row_echelon_mod_p(np.vstack(stacked), p)
+        ranks.append(basis.shape[0])
+    return [ranks[k] - ranks[k + 1] for k in range(depth + 1)]
+
+
+def _small_groups():
+    u, c, dp = fin.unitriangular_group, fin.cyclic_group, fin.direct_product
+    return {
+        "U(2,2)": u(2, 2),
+        "U(3,2)": u(3, 2),
+        "U(4,2)": u(4, 2),
+        "U(3,3)": u(3, 3),
+        "C2xC2": dp(c(2), c(2)),
+        "C2xU(3,2)": dp(c(2), u(3, 2)),
+        "U(2,2)^3": dp(dp(u(2, 2), u(2, 2)), u(2, 2)),
+        "C3xC3": dp(c(3), c(3)),
+    }
+
+
+class TestIndependence:
+    @pytest.mark.parametrize("name", sorted(_small_groups()))
+    def test_filtration_matches_literal(self, name):
+        group = _small_groups()[name]
+        assert group.order <= 64
+        chain, dims = _literal_filtration(group, 5)
+        fast = fin.zassenhaus_filtration_finite(group, 5)
+        assert fast.subgroups == chain
+        assert fast.dims == dims
+
+    @pytest.mark.parametrize("name", sorted(_small_groups()))
+    def test_aug_dims_match_literal(self, name):
+        group = _small_groups()[name]
+        depth = 12
+        assert fin.group_algebra_aug_dims(group, depth) == _literal_aug_dims(group, depth)
+
+    def test_generators_generate(self):
+        groups = list(_small_groups().values()) + [
+            fin.unitriangular_group(5, 2),
+            fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)),
+        ]
+        for group in groups:
+            assert fin.subgroup_closure(group, group.generators()) == frozenset(
+                range(group.order)
+            )
+
+
+def test_u6_f2_filtration_is_fast():
+    t0 = time.perf_counter()
+    f = fin.zassenhaus_filtration_finite(fin.unitriangular_group(6, 2), 6)
+    elapsed = time.perf_counter() - t0
+    assert f.dims == (5, 4, 3, 2, 1, 0)
+    assert elapsed < 5.0

@@ -7,6 +7,7 @@ from zassenhaus.groupspec import (
     Demushkin,
     DirectProduct,
     Free,
+    MAX_ALTERNATIONS,
     FreeProduct,
     ParseError,
     PrimeMismatch,
@@ -58,6 +59,23 @@ class TestParser:
         spec = parse_group_spec(text)
         rf = closed_form(spec, 2).rational
         assert hp_series(spec, 2, 8) == expand_rational(rf, 8)
+
+    def test_alternation_limit(self):
+        def nest(levels):
+            text = "free(1)"
+            for i in range(levels):
+                text = f"free(1) {'*x'[i % 2]} ({text})"
+            return text
+
+        parse_group_spec(nest(MAX_ALTERNATIONS))
+        with pytest.raises(ParseError, match=str(MAX_ALTERNATIONS)):
+            parse_group_spec(nest(MAX_ALTERNATIONS + 1))
+
+    def test_redundant_parens_not_counted(self):
+        depth = 2 * MAX_ALTERNATIONS
+        assert parse_group_spec("(" * depth + "free(1)" + ")" * depth) == Free(1)
+        text = "(" * depth + "free(1) * (zp(1) x cyclic(2))" + ")" * depth
+        assert isinstance(parse_group_spec(text), FreeProduct)
 
     def test_unknown_constructor(self):
         with pytest.raises(ParseError) as exc:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from zassenhaus.series import (
     ConstantTermNotOne,
     NegativeExponent,
+    NonIntegralLog,
     NotInvertible,
     OrderExceeded,
     RationalFunction,
@@ -118,6 +119,14 @@ class TestTruncSeries:
     def test_log_requires_unit_one(self):
         with pytest.raises(ConstantTermNotOne):
             TruncSeries(3, [2, 1]).log()
+
+    def test_log_integrality_is_checked(self, monkeypatch):
+        # a plain raise, so it holds under python -O; a series that claims to
+        # be integral but is not makes 1 * b_1 = 1/2
+        monkeypatch.setattr(TruncSeries, "is_integral", lambda self: True)
+        with pytest.raises(NonIntegralLog) as exc:
+            TruncSeries(3, [1, Fraction(1, 2)]).log()
+        assert exc.value.degree == 1 and exc.value.value == Fraction(1, 2)
 
     def test_pow_zero_and_huge(self):
         s = TruncSeries(3, [1, 1])
