@@ -41,6 +41,8 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTEGRALITY = 4
 
+VERIFY_SUITES = ("roundtrip", "closedforms", "finite")
+
 _GRAMMAR_HELP = (
     "group expression: free(d) | cyclic(p) | demushkin(d) | superpyth(d) | "
     "zp(d) | e * e (free product) | e x e (direct product, binds tighter) | (e)"
@@ -150,25 +152,40 @@ def cmd_basis(args: argparse.Namespace) -> list[str]:
     return lines + [f"count = {len(basis)}"]
 
 
+def _suite_checks(suite: str, args: argparse.Namespace) -> list[verify_mod.CheckResult]:
+    if suite == "roundtrip":
+        return verify_mod.roundtrip_checks(args.prime, args.max_n)
+    if suite == "closedforms":
+        return verify_mod.closedform_checks(args.prime, args.max_n)
+    return verify_mod.finite_checks(args.include_slow)
+
+
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
-    if args.suite == "roundtrip":
-        results = verify_mod.roundtrip_checks(args.prime, args.max_n)
-    elif args.suite == "closedforms":
-        results = verify_mod.closedform_checks(args.prime, args.max_n)
-    elif args.suite == "finite":
-        results = verify_mod.finite_checks(args.include_slow)
-    else:
-        results = verify_mod.all_checks(args.prime, args.max_n, args.include_slow)
-    lines = []
-    failures = 0
-    for res in results:
-        if res.passed:
-            lines.append(f"PASS {res.name}")
-        else:
-            failures += 1
-            lines.append(f"FAIL {res.name}: {res.detail}")
-    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
-    return lines, (EXIT_VERIFY if failures else EXIT_OK)
+    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
+    records = [(suite, res) for suite in suites for res in _suite_checks(suite, args)]
+    passed = sum(res.passed for _, res in records)
+    code = EXIT_OK if passed == len(records) else EXIT_VERIFY
+    if args.format == "json":
+        payload = {
+            "checks": [
+                {"name": res.name, "suite": suite, "passed": res.passed, "detail": res.detail}
+                for suite, res in records
+            ],
+            "summary": {"passed": passed, "total": len(records)},
+        }
+        return [json.dumps(payload, indent=2)], code
+    if args.format == "csv":
+        rows = [
+            (res.name, suite, str(res.passed).lower(), res.detail)
+            for suite, res in records
+        ]
+        return _csv_lines(("name", "suite", "passed", "detail"), rows), code
+    lines = [
+        f"PASS {res.name}" if res.passed else f"FAIL {res.name}: {res.detail}"
+        for _, res in records
+    ]
+    lines.append(f"{passed}/{len(records)} checks passed")
+    return lines, code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,11 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_basis, max_n=False)
 
     p_verify = sub.add_parser("verify", help="run cross-route verification suites")
-    p_verify.add_argument("--suite", choices=("roundtrip", "closedforms", "finite", "all"),
-                          default="all")
+    p_verify.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all",
+                          help="roundtrip (product identity), closedforms (closed "
+                               "formulas), finite (matrix groups up to order 32768, "
+                               "group-algebra checks up to order 1024), or all "
+                               "(default)")
     p_verify.add_argument("--include-slow", action="store_true",
                           help="include the group-algebra check of the order-729 "
-                               "unitriangular group (about 15 s)")
+                               "unitriangular group U(4, 3) (about 15 s)")
     common(p_verify)
     return parser
 

@@ -54,7 +54,10 @@ class FiniteGroup:
         order = p ** len(self.positions)
         cap = element_cap(max_elements)
         if order > cap:
-            raise TooLarge(f"group would have {order} elements, cap is {cap}")
+            raise TooLarge(
+                f"group would have {order} elements, over the cap of {cap} "
+                f"(set {ENV_CAP} to change it)"
+            )
         if order > 1 << 62:
             raise TooLarge("element indices would overflow 64-bit integers")
         self.order = order
@@ -316,10 +319,16 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
 
 
 def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero rows of a row-echelon form over F_p."""
+    """Nonzero rows of a row-echelon form over F_p.
+
+    At p = 2 the rows are bit-packed and eliminated by XOR; at odd p one
+    column is cleared at a time.
+    """
     m = np.array(mat, dtype=np.int64) % p
     if m.ndim != 2:
         raise ValueError("matrix expected")
+    if p == 2:
+        return _row_echelon_gf2(m)
     rank = 0
     rows, cols = m.shape
     for col in range(cols):
@@ -338,6 +347,33 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
             m[rank + 1 + hits] = (m[rank + 1 + hits] - np.outer(below[hits], m[rank])) % p
         rank += 1
     return m[:rank]
+
+
+def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
+    """Row-echelon form of a 0/1 matrix over F_2, one Python int per row.
+
+    Column 0 is the top bit, so a row's leading column is fixed by its
+    bit_length.  Each incoming row is XORed with the pivot at its current
+    leading bit until it vanishes or reaches a leading bit with no pivot,
+    where it becomes that pivot.  Pivots in descending bit_length have
+    strictly increasing leading columns, each holding a 1.
+    """
+    rows, cols = m.shape
+    width = (cols + 7) // 8
+    packed = np.packbits(m, axis=1).tobytes()
+    pivots: dict[int, int] = {}
+    for i in range(rows):
+        row = int.from_bytes(packed[i * width : (i + 1) * width], "big")
+        while row:
+            lead = row.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            row ^= pivot
+    out = b"".join(pivots[lead].to_bytes(width, "big") for lead in sorted(pivots, reverse=True))
+    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(pivots), width)
+    return np.unpackbits(bits, axis=1)[:, :cols].astype(np.int64)
 
 
 def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:

@@ -370,6 +370,11 @@ def finite_checks(include_slow: bool = False) -> list[CheckResult]:
             fin.unitriangular_group(3, 5),
             3,
         ),
+        (
+            "group algebra vs filtration: unitriangular(5, 2)",
+            fin.unitriangular_group(5, 2),
+            6,
+        ),
     ]
     if include_slow:
         cases.append(
@@ -416,11 +421,3 @@ def finite_checks(include_slow: bool = False) -> list[CheckResult]:
         out.append(_fail(name, name, "-", tuple(x + y for x, y in zip(d1, d2)), dp))
 
     return out
-
-
-def all_checks(p: int = 2, order: int = 20, include_slow: bool = False) -> list[CheckResult]:
-    return (
-        roundtrip_checks(p, order)
-        + closedform_checks(p, order)
-        + finite_checks(include_slow)
-    )

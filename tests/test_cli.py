@@ -1,5 +1,7 @@
 """Command-line interface: formats, schemas, exit codes."""
 import ast
+import csv
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -155,6 +157,58 @@ class TestVerify:
         assert "FAIL bogus: spec=s n=1 expected=1 got=2" in out
 
 
+    def test_json_format(self, capsys, monkeypatch):
+        # the finite suite has its own test; a stub keeps this one fast
+        monkeypatch.setattr(
+            cli.verify_mod, "finite_checks", lambda slow: [CheckResult("stub", True)]
+        )
+        code, out, err = run(
+            ["verify", "--suite", "all", "--max-n", "6", "--format", "json"], capsys
+        )
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert set(payload) == {"checks", "summary"}
+        checks = payload["checks"]
+        assert all(set(c) == {"name", "suite", "passed", "detail"} for c in checks)
+        assert {c["suite"] for c in checks} == {"roundtrip", "closedforms", "finite"}
+        assert all(c["passed"] is True and c["detail"] == "" for c in checks)
+        assert payload["summary"] == {"passed": len(checks), "total": len(checks)}
+        _, table, _ = run(["verify", "--suite", "all", "--max-n", "6"], capsys)
+        assert [f"PASS {c['name']}" for c in checks] == table.splitlines()[:-1]
+
+    def test_csv_format_on_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.verify_mod,
+            "roundtrip_checks",
+            lambda p, n: [
+                CheckResult("fine", True),
+                CheckResult("bogus, quoted", False, "spec=s n=1 expected=1 got=2"),
+            ],
+        )
+        code, out, _ = run(["verify", "--suite", "roundtrip", "--format", "csv"], capsys)
+        assert code == 1
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [
+            ["name", "suite", "passed", "detail"],
+            ["fine", "roundtrip", "true", ""],
+            ["bogus, quoted", "roundtrip", "false", "spec=s n=1 expected=1 got=2"],
+        ]
+
+    def test_json_format_on_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli.verify_mod,
+            "roundtrip_checks",
+            lambda p, n: [CheckResult("bogus", False, "spec=s n=1 expected=1 got=2")],
+        )
+        code, out, _ = run(["verify", "--suite", "roundtrip", "--format", "json"], capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "checks": [{"name": "bogus", "suite": "roundtrip", "passed": False,
+                        "detail": "spec=s n=1 expected=1 got=2"}],
+            "summary": {"passed": 0, "total": 1},
+        }
+
+
 class TestExitCodes:
     def test_parse_error(self, capsys):
         code, out, err = run(["dims", "free(2"], capsys)
@@ -202,6 +256,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1
         assert "parse error" in err and "500" in err
+
+    def test_element_cap_is_validation_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("ZASS_MAX_ELEMENTS", "16")
+        code, out, err = run(["verify", "--suite", "finite"], capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert "validation error" in err and "ZASS_MAX_ELEMENTS" in err
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

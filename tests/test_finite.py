@@ -40,6 +40,10 @@ class TestGroupConstruction:
             fin.unitriangular_group(4, 2, max_elements=32)
         assert fin.unitriangular_group(4, 2, max_elements=64).order == 64
 
+    def test_cap_message_names_variable(self):
+        with pytest.raises(fin.TooLarge, match=fin.ENV_CAP):
+            fin.unitriangular_group(8, 2)
+
     def test_env_cap(self, monkeypatch):
         monkeypatch.setenv(fin.ENV_CAP, "32")
         with pytest.raises(fin.TooLarge):
@@ -193,6 +197,29 @@ class TestFiltration:
             assert small <= big
 
 
+def _column_loop_echelon(mat, p):
+    """Reference: clear one column at a time with int64 rows, at every p."""
+    m = np.array(mat, dtype=np.int64) % p
+    rank = 0
+    rows, cols = m.shape
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivots = np.nonzero(m[rank:, col])[0]
+        if pivots.size == 0:
+            continue
+        piv = rank + int(pivots[0])
+        if piv != rank:
+            m[[rank, piv]] = m[[piv, rank]]
+        m[rank] = (m[rank] * pow(int(m[rank, col]), -1, p)) % p
+        below = m[rank + 1 :, col]
+        hits = np.nonzero(below)[0]
+        if hits.size:
+            m[rank + 1 + hits] = (m[rank + 1 + hits] - np.outer(below[hits], m[rank])) % p
+        rank += 1
+    return m[:rank]
+
+
 class TestGroupAlgebra:
     def test_row_echelon_rank(self):
         mat = np.array([[1, 2], [2, 4]])
@@ -202,6 +229,37 @@ class TestGroupAlgebra:
         mat2 = np.array([[1, 1], [1, 3]])
         assert fin.row_echelon_mod_p(mat2, 2).shape[0] == 1
         assert fin.row_echelon_mod_p(mat2, 3).shape[0] == 2
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "shape",
+        [(0, 0), (0, 5), (3, 0), (1, 1), (6, 1), (1, 9), (5, 7), (17, 8),
+         (40, 13), (9, 70), (130, 20), (24, 129)],
+    )
+    def test_gf2_matches_column_loop(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = shape
+        mats = [
+            rng.integers(-5, 6, size=shape),
+            rng.integers(0, 2, size=shape) * (rng.random(shape) < 0.15),
+            np.zeros(shape, dtype=np.int64),
+        ]
+        if rows >= 2:
+            # duplicate rows, and a row that is the sum of two others mod 2
+            dup = rng.integers(-3, 4, size=shape)
+            dup[rows // 2] = dup[0]
+            dup[-1] = dup[0] + 3 * dup[1]
+            mats.append(dup)
+        for mat in mats:
+            want = _column_loop_echelon(mat, 2)
+            got = fin.row_echelon_mod_p(mat, 2)
+            assert got.dtype == np.int64 and got.shape[1] == cols
+            assert got.shape[0] == want.shape[0]
+            assert _column_loop_echelon(np.vstack([got, want]), 2).shape[0] == want.shape[0]
+            leads = [int(np.flatnonzero(row)[0]) for row in got]
+            assert all(row[lead] == 1 for row, lead in zip(got, leads))
+            assert leads == sorted(set(leads))
+            assert ((got == 0) | (got == 1)).all()
 
     def test_cyclic2(self):
         assert fin.group_algebra_aug_dims(fin.cyclic_group(2), 2) == [1, 1, 0]
