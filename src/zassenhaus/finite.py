@@ -324,11 +324,12 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     At p = 2 the rows are bit-packed and eliminated by XOR; at odd p one
     column is cleared at a time.
     """
-    m = np.array(mat, dtype=np.int64) % p
+    m = np.asarray(mat, dtype=np.int64)
     if m.ndim != 2:
         raise ValueError("matrix expected")
     if p == 2:
         return _row_echelon_gf2(m)
+    m = m % p
     rank = 0
     rows, cols = m.shape
     for col in range(cols):
@@ -350,7 +351,7 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
 
 def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
-    """Row-echelon form of a 0/1 matrix over F_2, one Python int per row.
+    """Row-echelon form of an integer matrix over F_2, one Python int per row.
 
     Column 0 is the top bit, so a row's leading column is fixed by its
     bit_length.  Each incoming row is XORed with the pivot at its current
@@ -360,7 +361,7 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     """
     rows, cols = m.shape
     width = (cols + 7) // 8
-    packed = np.packbits(m, axis=1).tobytes()
+    packed = np.packbits((m & 1).astype(np.uint8), axis=1).tobytes()
     pivots: dict[int, int] = {}
     for i in range(rows):
         row = int.from_bytes(packed[i * width : (i + 1) * width], "big")
@@ -373,7 +374,7 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
             row ^= pivot
     out = b"".join(pivots[lead].to_bytes(width, "big") for lead in sorted(pivots, reverse=True))
     bits = np.frombuffer(out, dtype=np.uint8).reshape(len(pivots), width)
-    return np.unpackbits(bits, axis=1)[:, :cols].astype(np.int64)
+    return np.unpackbits(bits, axis=1, count=cols).astype(np.int64)
 
 
 def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
