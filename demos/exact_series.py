@@ -12,7 +12,6 @@ from zassenhaus.series import (
     expand_rational,
     format_poly,
     product_identity_rhs,
-    series_log,
 )
 
 # Rational functions reduce themselves on construction.
@@ -27,7 +26,7 @@ print("1/(1 - 3t + t^2):", fib.int_coeffs())
 
 # Logarithms stay exact: log 1/(1-2t) has coefficients 2^n / n.
 geo = expand_rational(RationalFunction([1], [1, -2]), 6)
-logs = series_log(geo)
+logs = geo.log()
 print("log 1/(1-2t):", [logs[k] for k in range(7)])
 assert logs[3] == Fraction(8, 3)
 

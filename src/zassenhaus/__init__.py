@@ -48,7 +48,6 @@ from .series import (
     TruncSeries,
     expand_rational,
     product_identity_rhs,
-    series_log,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +82,6 @@ __all__ = [
     "min_generators",
     "parse_group_spec",
     "product_identity_rhs",
-    "series_log",
     "to_text",
     "validate",
     "w_demushkin_closed",

@@ -145,27 +145,27 @@ class FiniteGroup:
     # -- batched pair scans ----------------------------------------------
 
     def _pair_scan(self, a, b, combine) -> np.ndarray:
-        """Unique indices of combine(x, y) over the full a x b rectangle."""
+        """Unique indices of combine(x, y) over the full a x b rectangle.
+
+        combine receives matrix blocks that broadcast to one pair per entry.
+        """
         a = np.asarray(a, dtype=np.int64).ravel()
         b = np.asarray(b, dtype=np.int64).ravel()
         if a.size == 0 or b.size == 0:
             return np.empty(0, dtype=np.int64)
-        mb = self.matrices(b)
-        mbi = self._inverse_mats(mb)
+        mb = self.matrices(b)[None, :]
         chunk = max(1, _CHUNK_PAIRS // b.size)
         pieces = []
         for lo in range(0, a.size, chunk):
-            ma = self.matrices(a[lo : lo + chunk])
-            mai = self._inverse_mats(ma)
-            prod = combine(ma[:, None], mai[:, None], mb[None, :], mbi[None, :])
-            pieces.append(np.unique(self.index_of(prod)))
+            ma = self.matrices(a[lo : lo + chunk])[:, None]
+            pieces.append(np.unique(self.index_of(combine(ma, mb))))
         return np.unique(np.concatenate(pieces))
 
     def commutators(self, a, b) -> np.ndarray:
         """Unique [x, y] = x^-1 y^-1 x y over all x in a, y in b."""
 
-        def combine(ma, mai, mb, mbi):
-            t = (mai @ mbi) % self.p
+        def combine(ma, mb):
+            t = (self._inverse_mats(ma) @ self._inverse_mats(mb)) % self.p
             t = (t @ ma) % self.p
             return (t @ mb) % self.p
 
@@ -174,19 +174,15 @@ class FiniteGroup:
     def conjugates(self, a, b) -> np.ndarray:
         """Unique x^-1 y x over all x in a, y in b."""
 
-        def combine(ma, mai, mb, mbi):
-            t = (mai @ mb) % self.p
+        def combine(ma, mb):
+            t = (self._inverse_mats(ma) @ mb) % self.p
             return (t @ ma) % self.p
 
         return self._pair_scan(a, b, combine)
 
     def products(self, a, b) -> np.ndarray:
         """Unique x y over all x in a, y in b."""
-
-        def combine(ma, mai, mb, mbi):
-            return (ma @ mb) % self.p
-
-        return self._pair_scan(a, b, combine)
+        return self._pair_scan(a, b, lambda ma, mb: (ma @ mb) % self.p)
 
     def __repr__(self) -> str:
         return (

@@ -13,8 +13,6 @@ from typing import Iterable, Sequence, Union
 
 from .numtheory import is_prime
 
-DEFAULT_ORDER = 32
-
 Scalar = Union[int, Fraction]
 
 
@@ -88,12 +86,6 @@ class TruncPoly:
         if n < 0:
             raise IndexError("negative degree")
         return self._coeffs[n] if n < len(self._coeffs) else 0
-
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncPoly):
@@ -284,9 +276,6 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self._num, self._den))
 
-    def expand(self, order: int) -> TruncSeries:
-        return expand_rational(self, order)
-
     def __repr__(self) -> str:
         return f"RationalFunction({list(self._num.coeffs)}, {list(self._den.coeffs)})"
 
@@ -395,15 +384,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> TruncSeries:
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return TruncSeries(self._order, [c / other for c in self._coeffs])
-        if not isinstance(other, TruncSeries):
-            return NotImplemented
-        return self * other.inverse()
-
     def inverse(self) -> TruncSeries:
         a = self._coeffs
         if a[0] == 0:
@@ -485,11 +465,6 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"
-
-
-def series_log(a: TruncSeries) -> TruncSeries:
-    """Formal logarithm; requires constant term 1."""
-    return a.log()
 
 
 def expand_rational(rf: RationalFunction, order: int) -> TruncSeries:

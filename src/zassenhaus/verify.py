@@ -9,7 +9,7 @@ them. Suites: 'roundtrip' (product identity and pipeline relations),
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import zip_longest
 
 from . import finite as fin
 from .dimensions import (
@@ -28,13 +28,7 @@ from .groupspec import (
     hp_series,
     parse_group_spec,
 )
-from .series import (
-    RationalFunction,
-    TruncPoly,
-    expand_rational,
-    product_identity_rhs,
-    series_log,
-)
+from .series import RationalFunction, TruncPoly, expand_rational, product_identity_rhs
 
 
 @dataclass(frozen=True)
@@ -52,6 +46,19 @@ def _fail(name: str, spec: str, n, expected, got) -> CheckResult:
     return CheckResult(
         name, False, f"spec={spec} n={n} expected={expected} got={got}"
     )
+
+
+def _compare(name: str, spec: str, want, got, start: int = 1) -> CheckResult:
+    """Pass when the sequences are equal; else fail at the first difference.
+
+    Entry i stands for degree start + i. Sequences of different lengths
+    fail where the shorter one ends, with the absent entry shown as missing.
+    """
+    pairs = zip_longest(want, got, fillvalue="missing")
+    for n, (expected, actual) in enumerate(pairs, start=start):
+        if expected != actual:
+            return _fail(name, spec, n, expected, actual)
+    return _ok(name)
 
 
 def builtin_specs(p: int) -> list[tuple[str, GroupSpec]]:
@@ -99,31 +106,13 @@ def roundtrip_checks(p: int = 2, order: int = 20) -> list[CheckResult]:
         table = dims_table(spec, p, order)
         lhs = hp_series(spec, p, order)
         rhs = product_identity_rhs(table.c[1:], p, order)
-        name = f"roundtrip: {text}"
-        if lhs == rhs:
-            out.append(_ok(name))
-        else:
-            n = next(k for k in range(order + 1) if lhs[k] != rhs[k])
-            out.append(_fail(name, text, n, lhs[n], rhs[n]))
+        out.append(_compare(f"roundtrip: {text}", text, lhs.coeffs, rhs.coeffs, start=0))
+        if not out[-1].passed:
             continue
-        name = f"pipeline relations: {text}"
-        bad = None
-        for n in range(1, order + 1):
-            if n % p:
-                if table.c[n] != table.w[n]:
-                    bad = (n, table.w[n], table.c[n])
-                    break
-            else:
-                if table.c[n] != table.c[n // p] + table.w[n]:
-                    bad = (n, table.c[n // p] + table.w[n], table.c[n])
-                    break
-            if table.c[n] < 0:
-                bad = (n, ">= 0", table.c[n])
-                break
-        if bad is None:
-            out.append(_ok(name))
-        else:
-            out.append(_fail(name, text, *bad))
+        want = [
+            table.w[n] if n % p else table.c[n // p] + table.w[n] for n in range(1, order + 1)
+        ]
+        out.append(_compare(f"pipeline relations: {text}", text, want, table.c[1:]))
     return out
 
 
@@ -162,38 +151,24 @@ def superpyth_c_expected(d: int, order: int) -> list[int]:
 
 def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
     out = []
+    degrees = range(1, order + 1)
 
     for d in range(1, 6):
-        got = list(dims_table(Free(d), p, 5).c[1:])
-        want = free_c_closed(d, p)
+        got = dims_table(Free(d), p, 5).c[1:]
         name = f"free({d}) c_1..c_5 closed forms, p={p}"
-        if got == want:
-            out.append(_ok(name))
-        else:
-            n = next(k for k in range(5) if got[k] != want[k]) + 1
-            out.append(_fail(name, f"free({d})", n, want[n - 1], got[n - 1]))
+        out.append(_compare(name, f"free({d})", free_c_closed(d, p), got))
 
     for d in range(2, 7):
-        got = list(dims_table(parse_group_spec(f"demushkin({d})"), p, 5).c[1:])
-        want = demushkin_c_closed(d, p)
+        got = dims_table(parse_group_spec(f"demushkin({d})"), p, 5).c[1:]
         name = f"demushkin({d}) c_1..c_5 closed forms, p={p}"
-        if got == want:
-            out.append(_ok(name))
-        else:
-            n = next(k for k in range(5) if got[k] != want[k]) + 1
-            out.append(_fail(name, f"demushkin({d})", n, want[n - 1], got[n - 1]))
+        out.append(_compare(name, f"demushkin({d})", demushkin_c_closed(d, p), got))
 
     for text, spec in builtin_specs(p):
         recipe = closed_form(spec, p)
         name = f"closed form expands to series: {text}"
         if recipe.is_rational:
-            lhs = expand_rational(recipe.rational, order)
-            rhs = hp_series(spec, p, order)
-            if lhs == rhs:
-                out.append(_ok(name))
-            else:
-                n = next(k for k in range(order + 1) if lhs[k] != rhs[k])
-                out.append(_fail(name, text, n, rhs[n], lhs[n]))
+            got = expand_rational(recipe.rational, order).coeffs
+            out.append(_compare(name, text, hp_series(spec, p, order).coeffs, got, start=0))
         else:
             ok = bool(recipe.product_form)
             out.append(
@@ -203,83 +178,48 @@ def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
     for d in range(1, 4):
         table = dims_table(Free(d), p, order)
         name = f"necklace counts match free({d}) exponents, p={p}"
-        bad = next(
-            (n for n in range(1, order + 1) if table.w[n] != w_free_closed(d, n)),
-            None,
-        )
-        if bad is None:
-            out.append(_ok(name))
-        else:
-            out.append(_fail(name, f"free({d})", bad, w_free_closed(d, bad), table.w[bad]))
+        want = [w_free_closed(d, n) for n in degrees]
+        out.append(_compare(name, f"free({d})", want, table.w[1:]))
 
     for d in range(2, 6):
         table = dims_table(parse_group_spec(f"demushkin({d})"), p, order)
         name = f"demushkin({d}) exponents: binomial = power sums = pipeline, p={p}"
-        bad = None
-        for n in range(1, order + 1):
-            closed = w_demushkin_closed(d, n)
-            if closed != w_demushkin_power_sum(d, n) or closed != table.w[n]:
-                bad = (n, closed, (w_demushkin_power_sum(d, n), table.w[n]))
-                break
-        out.append(_ok(name) if bad is None else _fail(name, f"demushkin({d})", *bad))
+        closed = [w_demushkin_closed(d, n) for n in degrees]
+        # got is the (power sums, pipeline) pair wherever either route differs
+        routes = [(w_demushkin_power_sum(d, n), table.w[n]) for n in degrees]
+        got = [w if pair == (w, w) else pair for w, pair in zip(closed, routes)]
+        out.append(_compare(name, f"demushkin({d})", closed, got))
 
     if p == 2:
         for d in range(0, 6):
             spec = parse_group_spec(f"superpyth({d})")
-            table = dims_table(spec, 2, 20)
             want = superpyth_c_expected(d, 20)
             name = f"superpyth({d}) dimension pattern"
-            if list(table.c[1:]) == want:
-                out.append(_ok(name))
-            else:
-                n = next(k for k in range(20) if table.c[k + 1] != want[k]) + 1
-                out.append(_fail(name, f"superpyth({d})", n, want[n - 1], table.c[n]))
+            out.append(_compare(name, f"superpyth({d})", want, dims_table(spec, 2, 20).c[1:]))
             name = f"superpyth({d}) product form rebuilds the series"
             lhs = product_identity_rhs(want, 2, 20)
             rhs = hp_series(spec, 2, 20)
-            if lhs == rhs:
-                out.append(_ok(name))
-            else:
-                n = next(k for k in range(21) if lhs[k] != rhs[k])
-                out.append(_fail(name, f"superpyth({d})", n, rhs[n], lhs[n]))
+            out.append(_compare(name, f"superpyth({d})", rhs.coeffs, lhs.coeffs, start=0))
 
         for d in range(1, 6):
-            chain = FreeProduct(*[Cyclic(2)] * (d + 1))
-            t_chain = dims_table(chain, 2, order)
+            t_chain = dims_table(FreeProduct(*[Cyclic(2)] * (d + 1)), 2, order)
             t_free = dims_table(Free(d), 2, order)
+            # one more generator than free(d) in degree 1, the same dims above
+            want = [c + (n == 1) for n, c in enumerate(t_free.c[1:], start=1)]
             name = f"{d + 1} involution factors vs free({d})"
-            if t_chain.c[1] != t_free.c[1] + 1:
-                out.append(_fail(name, "c_1", 1, t_free.c[1] + 1, t_chain.c[1]))
-            else:
-                bad = next(
-                    (n for n in range(2, order + 1) if t_chain.c[n] != t_free.c[n]),
-                    None,
-                )
-                if bad is None:
-                    out.append(_ok(name))
-                else:
-                    out.append(_fail(name, f"free({d})", bad, t_free.c[bad], t_chain.c[bad]))
+            out.append(_compare(name, f"free({d})", want, t_chain.c[1:]))
+            want_eps = ([-1, 1] + [0] * order)[:order]
+            got_eps = [t_free.w[n] - t_chain.w[n] for n in degrees]
             name = f"exponent defect pattern, rank {d}"
-            want_eps = [-1, 1] + [0] * (order - 2)
-            got_eps = [t_free.w[n] - t_chain.w[n] for n in range(1, order + 1)]
-            if got_eps == want_eps:
-                out.append(_ok(name))
-            else:
-                n = next(k for k in range(order) if got_eps[k] != want_eps[k]) + 1
-                out.append(_fail(name, f"free({d})", n, want_eps[n - 1], got_eps[n - 1]))
+            out.append(_compare(name, f"free({d})", want_eps, got_eps))
 
     for d in range(0, 5):
         name = f"power sums: multinomial vs Newton route, d={d}, p={p}"
         f_poly = TruncPoly([1] + [-d] * p)
-        logs = series_log(expand_rational(RationalFunction([1], f_poly), 15))
-        bad = None
-        for n in range(1, 16):
-            newton = logs[n] * n
-            multi = power_sums_free_product_cp(d, p, n)
-            if newton != multi:
-                bad = (n, newton, multi)
-                break
-        out.append(_ok(name) if bad is None else _fail(name, f"d={d}", *bad))
+        logs = expand_rational(RationalFunction([1], f_poly), 15).log()
+        newton = [logs[n] * n for n in range(1, 16)]
+        multi = [power_sums_free_product_cp(d, p, n) for n in range(1, 16)]
+        out.append(_compare(name, f"d={d}", newton, multi))
 
     return out
 
@@ -303,20 +243,17 @@ def _dims_until_trivial(result: fin.FiltrationResult) -> list[int]:
     return dims
 
 
-def _check_jl_finite(name: str, group: fin.FiniteGroup, depth: int) -> list[CheckResult]:
+def _check_jl_finite(name: str, group: fin.FiniteGroup, depth: int) -> CheckResult:
     """Group algebra filtration vs the polynomial built from subgroup dims."""
     filt = fin.zassenhaus_filtration_finite(group, depth)
     if len(filt.subgroups[-1]) != 1:
-        return [CheckResult(name, False, f"filtration not exhausted at depth {depth}")]
-    c = _dims_until_trivial(filt)
-    poly = _jl_polynomial(c, group.p)
-    degree = poly.degree
-    a = fin.group_algebra_aug_dims(group, degree + 1)
-    want = [poly[k] for k in range(degree + 2)]
-    if a == want and sum(a) == group.order:
-        return [_ok(name)]
-    n = next(k for k in range(degree + 2) if a[k] != want[k])
-    return [_fail(name, name, n, want[n], a[n])]
+        return CheckResult(name, False, f"filtration not exhausted at depth {depth}")
+    poly = _jl_polynomial(_dims_until_trivial(filt), group.p)
+    a = fin.group_algebra_aug_dims(group, poly.degree + 1)
+    result = _compare(name, name, [poly[k] for k in range(poly.degree + 2)], a, start=0)
+    if result.passed and sum(a) != group.order:
+        return CheckResult(name, False, f"dims sum to {sum(a)}, not |G| = {group.order}")
+    return result
 
 
 def finite_checks(include_slow: bool = False) -> list[CheckResult]:
@@ -338,54 +275,25 @@ def finite_checks(include_slow: bool = False) -> list[CheckResult]:
 
     # cyclic groups collapse immediately
     for p in (2, 3, 5):
-        group = fin.cyclic_group(p)
-        filt = fin.zassenhaus_filtration_finite(group, 4)
+        filt = fin.zassenhaus_filtration_finite(fin.cyclic_group(p), 4)
         name = f"cyclic({p}) filtration is [1, 0, 0, ...]"
-        if filt.dims == (1, 0, 0, 0):
-            out.append(_ok(name))
-        else:
-            out.append(_fail(name, name, "-", (1, 0, 0, 0), filt.dims))
+        out.append(_compare(name, name, [1, 0, 0, 0], filt.dims))
 
     # group algebra dimensions match the polynomial from the filtration
+    c2 = fin.cyclic_group(2)
     cases = [
-        ("group algebra vs filtration: cyclic(2)", fin.cyclic_group(2), 3),
-        ("group algebra vs filtration: cyclic(3)", fin.cyclic_group(3), 3),
-        (
-            "group algebra vs filtration: cyclic(2) x cyclic(2)",
-            fin.direct_product(fin.cyclic_group(2), fin.cyclic_group(2)),
-            3,
-        ),
-        (
-            "group algebra vs filtration: unitriangular(3, 2)",
-            fin.unitriangular_group(3, 2),
-            4,
-        ),
-        (
-            "group algebra vs filtration: unitriangular(3, 3)",
-            fin.unitriangular_group(3, 3),
-            4,
-        ),
-        (
-            "group algebra vs filtration: unitriangular(3, 5)",
-            fin.unitriangular_group(3, 5),
-            3,
-        ),
-        (
-            "group algebra vs filtration: unitriangular(5, 2)",
-            fin.unitriangular_group(5, 2),
-            6,
-        ),
+        ("cyclic(2)", c2, 3),
+        ("cyclic(3)", fin.cyclic_group(3), 3),
+        ("cyclic(2) x cyclic(2)", fin.direct_product(c2, c2), 3),
+        ("unitriangular(3, 2)", fin.unitriangular_group(3, 2), 4),
+        ("unitriangular(3, 3)", fin.unitriangular_group(3, 3), 4),
+        ("unitriangular(3, 5)", fin.unitriangular_group(3, 5), 3),
+        ("unitriangular(5, 2)", fin.unitriangular_group(5, 2), 6),
     ]
     if include_slow:
-        cases.append(
-            (
-                "group algebra vs filtration: unitriangular(4, 3)",
-                fin.unitriangular_group(4, 3),
-                4,
-            )
-        )
-    for name, group, depth in cases:
-        out.extend(_check_jl_finite(name, group, depth))
+        cases.append(("unitriangular(4, 3)", fin.unitriangular_group(4, 3), 4))
+    for label, group, depth in cases:
+        out.append(_check_jl_finite(f"group algebra vs filtration: {label}", group, depth))
 
     # every filtration member must be normal
     for label, group, depth in [
@@ -410,14 +318,10 @@ def finite_checks(include_slow: bool = False) -> list[CheckResult]:
     # direct products add dimensions layerwise
     f1 = fin.unitriangular_group(2, 2)
     f2 = fin.unitriangular_group(3, 2)
-    prod = fin.direct_product(f1, f2)
     d1 = fin.zassenhaus_filtration_finite(f1, 4).dims
     d2 = fin.zassenhaus_filtration_finite(f2, 4).dims
-    dp = fin.zassenhaus_filtration_finite(prod, 4).dims
+    dp = fin.zassenhaus_filtration_finite(fin.direct_product(f1, f2), 4).dims
     name = "direct product adds layer dimensions"
-    if dp == tuple(x + y for x, y in zip(d1, d2)):
-        out.append(_ok(name))
-    else:
-        out.append(_fail(name, name, "-", tuple(x + y for x, y in zip(d1, d2)), dp))
+    out.append(_compare(name, name, [x + y for x, y in zip(d1, d2)], dp))
 
     return out

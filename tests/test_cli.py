@@ -156,6 +156,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL bogus: spec=s n=1 expected=1 got=2" in out
 
+    @pytest.mark.parametrize("max_n", [0, 1, 2])
+    def test_small_max_n(self, capsys, monkeypatch, max_n):
+        monkeypatch.setattr(
+            cli.verify_mod, "finite_checks", lambda slow: [CheckResult("stub", True)]
+        )
+        code, out, err = run(["verify", "--suite", "all", "--max-n", str(max_n)], capsys)
+        assert code == 0 and err == ""
+        last = out.splitlines()[-1]
+        k = last.split("/")[0]
+        assert last == f"{k}/{k} checks passed"
 
     def test_json_format(self, capsys, monkeypatch):
         # the finite suite has its own test; a stub keeps this one fast

@@ -1,5 +1,6 @@
 """Golden snapshots: stdout of `zass dims` and `zass series --closed-form`
-for every catalog expression, compared byte for byte.
+for every catalog expression, and of `zass verify --format json` for the
+roundtrip and closed-form suites, compared byte for byte.
 
 The snapshots under tests/golden/ were recorded before the expression tree
 became n-ary; a refactor of the pipeline must reproduce them exactly.
@@ -26,6 +27,8 @@ def commands(p: int) -> list[list[str]]:
     for text, _ in builtin_specs(p):
         out.append(["dims", text, "--prime", str(p), "--max-n", "24", "--format", "json"])
         out.append(["series", text, "--prime", str(p), "--closed-form", "--format", "json"])
+    for suite in ("roundtrip", "closedforms"):
+        out.append(["verify", "--suite", suite, "--prime", str(p), "--max-n", "16", "--format", "json"])
     return out
 
 

@@ -19,7 +19,6 @@ from zassenhaus.series import (
     format_poly,
     poly_gcd,
     product_identity_rhs,
-    series_log,
 )
 
 
@@ -42,9 +41,6 @@ class TestTruncPoly:
     def test_negative_power_rejected(self):
         with pytest.raises(NegativeExponent):
             TruncPoly([1, 1]) ** -1
-
-    def test_evaluation(self):
-        assert TruncPoly([1, -3, 1])(2) == 1 - 6 + 4
 
     def test_bool_coefficient_rejected(self):
         with pytest.raises(TypeError):
@@ -142,7 +138,6 @@ class TestTruncSeries:
     def test_scalar_mixing(self):
         s = TruncSeries(2, [1, 2, 4])
         assert (s - 1).valuation() == 1
-        assert ((s * 2) / 2) == s
 
 
 def test_product_identity_rhs_single_layer():
@@ -186,8 +181,8 @@ def _series(order, lo=-4, hi=4, unit=False):
 @settings(max_examples=60, deadline=None)
 @given(_series(6, unit=True), _series(6, unit=True))
 def test_log_turns_products_into_sums(a, b):
-    lhs = series_log(a * b)
-    rhs = series_log(a) + series_log(b)
+    lhs = (a * b).log()
+    rhs = a.log() + b.log()
     assert lhs == rhs
 
 
