@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default)")
     p_verify.add_argument("--include-slow", action="store_true",
                           help="include the group-algebra check of the order-729 "
-                               "unitriangular group U(4, 3) (about 15 s)")
+                               "unitriangular group U(4, 3) (about 13 s)")
     common(p_verify)
     return parser
 

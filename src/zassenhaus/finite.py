@@ -4,8 +4,9 @@ Groups are sets of unit upper-triangular matrices over F_p supported on a
 fixed family of strictly-upper positions that is closed under multiplication
 (full triangles, and block-diagonal unions of them for direct products).
 Elements are indexed by mixed-radix encoding of the supported entries, so the
-index itself is the canonical interned form; multiplication stays on demand
-as batched matrix products instead of a stored composition table.
+index itself is the canonical interned form.  Indices decode through a table
+of all |G| matrices, built on first use; multiplication stays on demand as
+batched matrix products instead of a stored composition table.
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -69,18 +70,21 @@ class FiniteGroup:
         )
         # uint8 is safe when a single dot product cannot wrap around 256
         self._dtype = np.uint8 if size * (p - 1) ** 2 < 256 else np.int64
+        self._table: np.ndarray | None = None
 
     # -- element codec -------------------------------------------------
 
     def matrices(self, idx) -> np.ndarray:
         """Decode indices (any shape) to matrices of shape idx.shape + (m, m)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        digits = (idx[..., None] // self._weights) % self.p
-        mats = np.zeros(idx.shape + (self.size, self.size), dtype=self._dtype)
-        diag = np.arange(self.size)
-        mats[..., diag, diag] = 1
-        mats[..., self._rows, self._cols] = digits.astype(self._dtype)
-        return mats
+        if self._table is None:
+            # mixed-radix digits of every index, once per group
+            digits = (np.arange(self.order, dtype=np.int64)[:, None] // self._weights) % self.p
+            table = np.zeros((self.order, self.size, self.size), dtype=self._dtype)
+            diag = np.arange(self.size)
+            table[:, diag, diag] = 1
+            table[:, self._rows, self._cols] = digits.astype(self._dtype)
+            self._table = table
+        return np.take(self._table, idx, axis=0)
 
     def index_of(self, mats) -> np.ndarray:
         digits = np.asarray(mats)[..., self._rows, self._cols].astype(np.int64)
@@ -114,13 +118,15 @@ class FiniteGroup:
         if e < 0:
             raise ValueError("exponent must be >= 0")
         a = np.asarray(a, dtype=np.int64)
-        result = np.zeros_like(a)
-        base = a
-        while e:
-            if e & 1:
-                result = self.mult(result, base)
-            base = self.mult(base, base)
-            e >>= 1
+        if e == 0:
+            return np.zeros_like(a)
+        # left to right from the top bit: one square per lower bit, one
+        # multiply by a per lower set bit
+        result = a.copy()
+        for bit in bin(e)[3:]:
+            result = self.mult(result, result)
+            if bit == "1":
+                result = self.mult(result, a)
         return result
 
     def generators(self) -> np.ndarray:
@@ -295,12 +301,17 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     generators = group.generators()
     chain_arrs: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
     chain_gens: list[np.ndarray] = [generators]
+    # p-th powers of G_(k), shared by the up to p degrees n with ceil(n/p) = k
+    pth_powers: dict[int, np.ndarray] = {}
     for n in range(2, depth + 2):
         parts = [
             group.commutators(chain_gens[i - 1], chain_gens[n - i - 1])
             for i in range(1, n // 2 + 1)
         ]
-        parts.append(np.unique(group.power(chain_arrs[-(-n // p) - 1], p)))
+        k = -(-n // p)
+        if k not in pth_powers:
+            pth_powers[k] = np.unique(group.power(chain_arrs[k - 1], p))
+        parts.append(pth_powers[k])
         elements, kept = _closure(group, np.concatenate(parts), generators)
         chain_arrs.append(elements)
         chain_gens.append(np.array(kept, dtype=np.int64))
@@ -317,15 +328,18 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
 def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     """Nonzero rows of a row-echelon form over F_p.
 
-    At p = 2 the rows are bit-packed and eliminated by XOR; at odd p one
-    column is cleared at a time.
+    Accepts any integer dtype and returns int64.  At p = 2 the rows are
+    bit-packed as given and eliminated by XOR; at odd p they are widened to
+    int64 and one column is cleared at a time.
     """
-    m = np.asarray(mat, dtype=np.int64)
+    m = np.asarray(mat)
+    if m.dtype.kind not in "iu":
+        m = m.astype(np.int64)
     if m.ndim != 2:
         raise ValueError("matrix expected")
     if p == 2:
         return _row_echelon_gf2(m)
-    m = m % p
+    m = m.astype(np.int64) % p
     rank = 0
     rows, cols = m.shape
     for col in range(cols):
@@ -350,17 +364,19 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     """Row-echelon form of an integer matrix over F_2, one Python int per row.
 
     Column 0 is the top bit, so a row's leading column is fixed by its
-    bit_length.  Each incoming row is XORed with the pivot at its current
-    leading bit until it vanishes or reaches a leading bit with no pivot,
-    where it becomes that pivot.  Pivots in descending bit_length have
-    strictly increasing leading columns, each holding a 1.
+    bit_length.  Duplicate rows are dropped, and the distinct rows are taken
+    in increasing order, so in increasing bit_length.  Each is XORed with
+    the pivot at its current leading bit until it vanishes or reaches a
+    leading bit with no pivot, where it becomes that pivot.  Pivots in
+    descending bit_length have strictly increasing leading columns, each
+    holding a 1.
     """
     rows, cols = m.shape
     width = (cols + 7) // 8
-    packed = np.packbits((m & 1).astype(np.uint8), axis=1).tobytes()
+    packed = np.packbits(m & 1, axis=1).tobytes()
+    distinct = {int.from_bytes(packed[i * width : (i + 1) * width], "big") for i in range(rows)}
     pivots: dict[int, int] = {}
-    for i in range(rows):
-        row = int.from_bytes(packed[i * width : (i + 1) * width], "big")
+    for row in sorted(distinct):
         while row:
             lead = row.bit_length()
             pivot = pivots.get(lead)
@@ -385,21 +401,19 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     n_el = group.order
     p = group.p
     all_idx = np.arange(n_el, dtype=np.int64)
-    # column permutation for right multiplication by s: (v s)[h s] = v[h]
-    perms = [group.mult(all_idx, s) for s in group.generators()]
+    # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates
+    gathers = [group.mult(all_idx, group.inverse(s)) for s in group.generators()]
 
-    basis = np.zeros((n_el - 1, n_el), dtype=np.int64)
-    basis[:, 1:] = np.eye(n_el - 1, dtype=np.int64)
+    # entries stay in [0, p); b s - b is formed as b s + (p - b) < 2p
+    dtype = np.min_scalar_type(2 * p)
+    basis = np.zeros((n_el - 1, n_el), dtype=dtype)
+    basis[:, 1:] = np.eye(n_el - 1, dtype=dtype)
     basis[:, group.identity] = p - 1
 
     ranks = [n_el, basis.shape[0]]
     while basis.shape[0] and len(ranks) <= depth:
-        stacked = []
-        for perm in perms:
-            moved = np.zeros_like(basis)
-            moved[:, perm] = basis
-            stacked.append((moved - basis) % p)
-        basis = row_echelon_mod_p(np.vstack(stacked), p)
+        stacked = np.vstack([(basis[:, inv] + (p - basis)) % p for inv in gathers])
+        basis = row_echelon_mod_p(stacked, p).astype(dtype)
         ranks.append(basis.shape[0])
     while len(ranks) <= depth + 1:
         ranks.append(0)

@@ -53,7 +53,11 @@ class SuperPyth:
 
 class _Product:
     """n-ary product node; a factor of the same kind is spliced in, so
-    FreeProduct(FreeProduct(a, b), c) == FreeProduct(a, b, c)."""
+    FreeProduct(FreeProduct(a, b), c) == FreeProduct(a, b, c).
+
+    Equality and hash go through the pre-order walk of the tree, taken
+    with an explicit stack, so they hold at any nesting depth.
+    """
 
     def __init__(self, *factors: "GroupSpec"):
         flat = []
@@ -61,13 +65,33 @@ class _Product:
             flat.extend(f.factors if isinstance(f, type(self)) else (f,))
         object.__setattr__(self, "factors", tuple(flat))
 
+    def _preorder(self) -> tuple:
+        """Leaves, and (node type, factor count) for products, in pre-order."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Product):
+                out.append((type(node), len(node.factors)))
+                stack.extend(reversed(node.factors))
+            else:
+                out.append(node)
+        return tuple(out)
 
-@dataclass(frozen=True, init=False)
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(self._preorder())
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class FreeProduct(_Product):
     factors: tuple["GroupSpec", ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DirectProduct(_Product):
     factors: tuple["GroupSpec", ...]
 

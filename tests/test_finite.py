@@ -31,6 +31,32 @@ class TestGroupConstruction:
         idx = rng.integers(0, g.order, size=200)
         assert (g.index_of(g.matrices(idx)) == idx).all()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fin.unitriangular_group(3, 2),
+            lambda: fin.unitriangular_group(4, 3),
+            lambda: fin.direct_product(
+                fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)
+            ),
+            lambda: fin.unitriangular_group(3, 17),  # int64 matrices
+        ],
+    )
+    def test_table_decode_matches_arithmetic(self, make):
+        g = make()
+        idx = np.arange(g.order)
+        want = np.zeros((g.order, g.size, g.size), dtype=np.int64)
+        want[:, range(g.size), range(g.size)] = 1
+        for k, (i, j) in enumerate(g.positions):
+            want[:, i, j] = idx // g.p**k % g.p
+        got = g.matrices(idx)
+        assert got.dtype == g._dtype and (got == want).all()
+        assert (g.matrices(idx[::-1].reshape(-1, 1)) == want[::-1, None]).all()
+        # a decoded matrix is a copy: writing to it leaves the table alone
+        one = g.matrices(g.order - 1)
+        one[...] = 0
+        assert (g.matrices(g.order - 1) == want[-1]).all()
+
     def test_too_large(self):
         with pytest.raises(fin.TooLarge):
             fin.unitriangular_group(8, 2)
@@ -94,6 +120,30 @@ class TestArithmetic:
         assert (g.power(idx, 2) == sq).all()
         # exponent of U_3(F_3) is 3^2
         assert (g.power(idx, 9) == g.identity).all()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_power_matches_repeated_mult(self, p):
+        g = fin.unitriangular_group(3, p)
+        idx = np.arange(g.order)
+        want = np.zeros_like(idx)
+        for e in range(10):
+            assert (g.power(idx, e) == want).all()
+            want = g.mult(want, idx)
+
+    def test_power_multiply_count(self, monkeypatch):
+        g = fin.unitriangular_group(3, 3)
+        calls = []
+        mult = fin.FiniteGroup.mult
+
+        def counting(self, a, b):
+            calls.append(1)
+            return mult(self, a, b)
+
+        monkeypatch.setattr(fin.FiniteGroup, "mult", counting)
+        for e, count in [(2, 1), (3, 2)]:
+            calls.clear()
+            g.power(np.arange(g.order), e)
+            assert len(calls) == count
 
     def test_commutators_of_identity(self):
         g = fin.unitriangular_group(3, 2)
@@ -260,6 +310,38 @@ class TestGroupAlgebra:
             assert all(row[lead] == 1 for row, lead in zip(got, leads))
             assert leads == sorted(set(leads))
             assert ((got == 0) | (got == 1)).all()
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_narrow_stack_matches_int64(self, p):
+        rng = np.random.default_rng(p)
+        for rows, cols in [(0, 4), (12, 9), (40, 17), (25, 70)]:
+            narrow = rng.integers(0, 2 * p, size=(rows, cols)).astype(np.uint8)
+            if rows:
+                narrow[rows // 2] = narrow[0]
+            got = fin.row_echelon_mod_p(narrow, p)
+            wide = fin.row_echelon_mod_p(narrow.astype(np.int64), p)
+            assert got.dtype == wide.dtype == np.int64
+            assert got.shape == wide.shape
+            assert _column_loop_echelon(np.vstack([got, wide]), p).shape[0] == got.shape[0]
+            assert _column_loop_echelon(narrow, p).shape[0] == got.shape[0]
+            leads = [int(np.flatnonzero(row)[0]) for row in got]
+            assert all(row[lead] == 1 for row, lead in zip(got, leads))
+            assert leads == sorted(set(leads))
+
+    def test_aug_dims_use_module_row_echelon(self, monkeypatch):
+        # bench/tracing.py hooks the elimination through the module attribute
+        calls = []
+        echelon = fin.row_echelon_mod_p
+
+        def counting(mat, p):
+            calls.append(len(mat))
+            return echelon(mat, p)
+
+        monkeypatch.setattr(fin, "row_echelon_mod_p", counting)
+        g = fin.unitriangular_group(3, 2)
+        assert fin.group_algebra_aug_dims(g, 5) == [1, 2, 2, 2, 1, 0]
+        # I^2..I^5, each stacked from 2 generators times the rank before it
+        assert calls == [14, 10, 6, 2]
 
     def test_cyclic2(self):
         assert fin.group_algebra_aug_dims(fin.cyclic_group(2), 2) == [1, 1, 0]

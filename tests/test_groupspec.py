@@ -136,6 +136,28 @@ class TestRoundTrip:
         spec = parse_group_spec("free(1) * (free(2) * zp(1))")
         assert to_text(spec) == "free(1) * free(2) * zp(1)"
 
+    def test_deep_roundtrip_equality(self):
+        # free(1) * (free(1) x (free(1) * (...))), 450 alternations
+        def nest(levels):
+            text = "free(1)"
+            for i in range(levels):
+                text = f"free(1) {'*x'[i % 2]} ({text})"
+            return text
+
+        spec = parse_group_spec(nest(450))
+        again = parse_group_spec(to_text(spec))
+        assert again == spec
+        assert hash(again) == hash(spec)
+        assert again != parse_group_spec(nest(449))
+
+    def test_equality_compares_node_types(self):
+        a, b, c = Free(1), Cyclic(2), Zp(1)
+        assert FreeProduct(a, b) != DirectProduct(a, b)
+        assert FreeProduct(a, b) != FreeProduct(b, a)
+        assert FreeProduct(a, DirectProduct(b, c)) != FreeProduct(DirectProduct(a, b), c)
+        assert FreeProduct(a, b) != a
+        assert {FreeProduct(a, DirectProduct(b, c)): 1}[FreeProduct(a, DirectProduct(b, c))] == 1
+
 
 class TestValidate:
     def test_cyclic_must_match_prime(self):
