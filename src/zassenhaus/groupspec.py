@@ -14,8 +14,9 @@ families and two products:
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from .numtheory import is_prime
 from .series import (
@@ -55,8 +56,8 @@ class _Product:
     """n-ary product node; a factor of the same kind is spliced in, so
     FreeProduct(FreeProduct(a, b), c) == FreeProduct(a, b, c).
 
-    Equality and hash go through the pre-order walk of the tree, taken
-    with an explicit stack, so they hold at any nesting depth.
+    Equality, hash and repr go through _preorder and _fold, so they hold at
+    any nesting depth.
     """
 
     def __init__(self, *factors: "GroupSpec"):
@@ -65,42 +66,69 @@ class _Product:
             flat.extend(f.factors if isinstance(f, type(self)) else (f,))
         object.__setattr__(self, "factors", tuple(flat))
 
-    def _preorder(self) -> tuple:
-        """Leaves, and (node type, factor count) for products, in pre-order."""
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Product):
-                out.append((type(node), len(node.factors)))
-                stack.extend(reversed(node.factors))
-            else:
-                out.append(node)
-        return tuple(out)
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._preorder() == other._preorder()
+        return _preorder(self) == _preorder(other)
 
     def __hash__(self):
-        return hash(self._preorder())
+        return hash(_preorder(self))
+
+    def __repr__(self):
+        def node(kind, parts):
+            inner = ", ".join(parts) + ("," if len(parts) == 1 else "")
+            return f"{kind.__name__}(factors=({inner}))"
+
+        return _fold(self, repr, node)
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class FreeProduct(_Product):
     factors: tuple["GroupSpec", ...]
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class DirectProduct(_Product):
     factors: tuple["GroupSpec", ...]
 
 
 GroupSpec = Union[Free, Cyclic, Demushkin, Zp, SuperPyth, FreeProduct, DirectProduct]
 
-# Parsed expressions may nest '*' inside 'x' inside '*' ... at most this many
-# levels deep; _hp, _closed and to_text recurse once per level.
-MAX_ALTERNATIONS = 500
+_LEAVES = (Free, Cyclic, Demushkin, Zp, SuperPyth)
+
+
+def _preorder(spec: GroupSpec) -> tuple:
+    """Leaves, and (node type, factor count) for products, in pre-order."""
+    out, stack = [], [spec]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Product):
+            out.append((type(node), len(node.factors)))
+            stack.extend(reversed(node.factors))
+        elif isinstance(node, _LEAVES):
+            out.append(node)
+        else:
+            raise TypeError(f"not a group spec: {node!r}")
+    return tuple(out)
+
+
+def _fold(spec: GroupSpec, leaf: Callable, node: Callable):
+    """Evaluate the tree bottom-up: leaf(x) once per distinct leaf, and
+    node(kind, values) per product, with its factors' values in order."""
+    leaf_values, stack = {}, []
+    for item in reversed(_preorder(spec)):
+        if isinstance(item, tuple):
+            kind, count = item
+            start = len(stack) - count
+            values = stack[start:][::-1]
+            del stack[start:]
+            stack.append(node(kind, values))
+        else:
+            if item not in leaf_values:
+                leaf_values[item] = leaf(item)
+            stack.append(leaf_values[item])
+    return stack[0]
+
 
 _LEAF_NAMES = {
     "free": Free,
@@ -194,14 +222,13 @@ class _Parser:
 
     def parse(self) -> GroupSpec:
         # One frame per open '(' (plus the outermost): its '*' terms, each a
-        # list of its 'x' factors, held as (node, alternation depth) pairs.
-        # Nesting grows this list, not the call stack.
+        # list of its 'x' factors. Nesting grows this list, not the call stack.
         frames = [[[]]]
         while True:
             while self.peek()[0] == "lparen":
                 self.advance()
                 frames.append([[]])
-            item = (self.parse_leaf(), 0)
+            item = self.parse_leaf()
             while True:
                 frames[-1][-1].append(item)
                 kind, value, pos = self.peek()
@@ -211,14 +238,10 @@ class _Parser:
                 if kind == "name" and value == "x":
                     break
                 item = _group(frames.pop())
-                if item[1] > MAX_ALTERNATIONS:
-                    raise ParseError(
-                        f"'*' and 'x' nest more than {MAX_ALTERNATIONS} levels deep", pos
-                    )
                 if not frames:
                     if kind != "end":
                         raise ParseError(f"unexpected trailing input {value!r}", pos)
-                    return item[0]
+                    return item
                 self.expect("rparen", "')'")
             self.advance()
 
@@ -241,18 +264,10 @@ class _Parser:
         return _LEAF_NAMES[value](int(value2))
 
 
-def _group(terms: list[list[tuple[GroupSpec, int]]]) -> tuple[GroupSpec, int]:
-    """The node of one parenthesised group and its depth of product nodes;
-    a lone atom stands for itself."""
-    factors = [t[0] if len(t) == 1 else _product(DirectProduct, t) for t in terms]
-    return factors[0] if len(factors) == 1 else _product(FreeProduct, factors)
-
-
-def _product(kind: type, items: list[tuple[GroupSpec, int]]) -> tuple[GroupSpec, int]:
-    # a factor of the same kind is spliced in and keeps its depth; any other
-    # factor ends up one level below the new node
-    depth = max(d if isinstance(f, kind) else d + 1 for f, d in items)
-    return kind(*[f for f, _ in items]), depth
+def _group(terms: list[list[GroupSpec]]) -> GroupSpec:
+    """The node of one parenthesised group; a lone atom stands for itself."""
+    factors = [t[0] if len(t) == 1 else DirectProduct(*t) for t in terms]
+    return factors[0] if len(factors) == 1 else FreeProduct(*factors)
 
 
 def parse_group_spec(text: str) -> GroupSpec:
@@ -260,31 +275,27 @@ def parse_group_spec(text: str) -> GroupSpec:
     return _Parser(text).parse()
 
 
+_LEAF_TEXT = {cls: name for name, cls in _LEAF_NAMES.items()}
+
+
+def _leaf_text(leaf) -> str:
+    (arg,) = vars(leaf).values()
+    return f"{_LEAF_TEXT[type(leaf)]}({arg})"
+
+
 def to_text(spec: GroupSpec) -> str:
     """Canonical text form; parse_group_spec(to_text(s)) == s."""
-    if isinstance(spec, Free):
-        return f"free({spec.rank})"
-    if isinstance(spec, Cyclic):
-        return f"cyclic({spec.order})"
-    if isinstance(spec, Demushkin):
-        return f"demushkin({spec.rank})"
-    if isinstance(spec, Zp):
-        return f"zp({spec.rank})"
-    if isinstance(spec, SuperPyth):
-        return f"superpyth({spec.rank})"
-    # Plain loops: a comprehension or map would add stack depth to each level
-    # of this recursion, which descends once per alternation of * and x.
-    if isinstance(spec, FreeProduct):
-        parts = []
-        for f in spec.factors:
-            parts.append(to_text(f))
-        return " * ".join(parts)
-    if isinstance(spec, DirectProduct):
-        parts = []
-        for f in spec.factors:
-            parts.append(f"({to_text(f)})" if isinstance(f, FreeProduct) else to_text(f))
+
+    def node(kind, parts):
+        # A free factor of a free product is spliced in, so a free product
+        # is either the whole expression or a factor of a direct product,
+        # where it needs parentheses; the outermost pair is dropped below.
+        if kind is FreeProduct:
+            return "(" + " * ".join(parts) + ")"
         return " x ".join(parts)
-    raise TypeError(f"not a group spec: {spec!r}")
+
+    text = _fold(spec, _leaf_text, node)
+    return text[1:-1] if isinstance(spec, FreeProduct) else text
 
 
 def validate(spec: GroupSpec, p: int) -> None:
@@ -294,78 +305,69 @@ def validate(spec: GroupSpec, p: int) -> None:
     """
     if not is_prime(p):
         raise PrimeMismatch(f"working prime must be prime, got {p}")
-    stack = [spec]
-    while stack:
-        spec = stack.pop()
-        if isinstance(spec, _Product):
-            stack.extend(reversed(spec.factors))
-        elif isinstance(spec, Cyclic):
-            if spec.order != p:
+    for leaf in _preorder(spec):
+        if isinstance(leaf, Cyclic):
+            if leaf.order != p:
                 raise PrimeMismatch(
-                    f"cyclic({spec.order}) does not match the working prime {p}"
+                    f"cyclic({leaf.order}) does not match the working prime {p}"
                 )
-        elif isinstance(spec, SuperPyth):
+        elif isinstance(leaf, SuperPyth):
             if p != 2:
-                raise PrimeMismatch(f"superpyth({spec.rank}) is only defined at p = 2")
-            if spec.rank < 0:
-                raise RankOutOfRange(f"superpyth rank must be >= 0, got {spec.rank}")
-        elif isinstance(spec, (Free, Zp)):
-            if spec.rank < 0:
-                raise RankOutOfRange(f"{to_text(spec)}: rank must be >= 0")
-        elif isinstance(spec, Demushkin):
-            if spec.rank < 2:
+                raise PrimeMismatch(f"superpyth({leaf.rank}) is only defined at p = 2")
+            if leaf.rank < 0:
+                raise RankOutOfRange(f"superpyth rank must be >= 0, got {leaf.rank}")
+        elif isinstance(leaf, (Free, Zp)):
+            if leaf.rank < 0:
+                raise RankOutOfRange(f"{_leaf_text(leaf)}: rank must be >= 0")
+        elif isinstance(leaf, Demushkin):
+            if leaf.rank < 2:
                 raise RankOutOfRange(
-                    f"demushkin rank must be >= 2, got {spec.rank}"
+                    f"demushkin rank must be >= 2, got {leaf.rank}"
                 )
-        else:
-            raise TypeError(f"not a group spec: {spec!r}")
 
 
-def _geometric(order: int, step: int) -> TruncSeries:
-    return TruncSeries(order, [1 if k % step == 0 else 0 for k in range(order + 1)])
+def _leaf_rational(leaf, p: int) -> RationalFunction | None:
+    """The leaf's series as a rational function; None for superpyth."""
+    if isinstance(leaf, Free):
+        return RationalFunction([1], [1, -leaf.rank])
+    if isinstance(leaf, Cyclic):
+        return RationalFunction([1] * p, [1])
+    if isinstance(leaf, Demushkin):
+        return RationalFunction([1], [1, -leaf.rank, 1])
+    if isinstance(leaf, Zp):
+        return RationalFunction([1], TruncPoly([1, -1]) ** leaf.rank)
+    return None
 
 
 def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
-    """Hilbert series of the graded restricted Lie algebra attached to the group.
+    """P(t): the Hilbert series of the graded completed group algebra over F_p.
 
     Leaves get their known series; a free product of k factors composes by
-    P = (P_1^-1 + ... + P_k^-1 - (k - 1))^-1 and a direct product multiplies.
+    P = (P_1^-1 + ... + P_k^-1 - (k - 1))^-1, with one inverse per distinct
+    factor series, and a direct product multiplies.
     """
     validate(spec, p)
-    return _hp(spec, p, order)
 
-
-def _hp(spec: GroupSpec, p: int, order: int) -> TruncSeries:
-    if isinstance(spec, Free):
-        return expand_rational(RationalFunction([1], [1, -spec.rank]), order)
-    if isinstance(spec, Cyclic):
-        return TruncSeries(order, [1] * (min(p - 1, order) + 1))
-    if isinstance(spec, Demushkin):
-        return expand_rational(RationalFunction([1], [1, -spec.rank, 1]), order)
-    if isinstance(spec, Zp):
-        return expand_rational(
-            RationalFunction([1], TruncPoly([1, -1]) ** spec.rank), order
-        )
-    if isinstance(spec, SuperPyth):
-        s = expand_rational(
-            RationalFunction([1, 1], TruncPoly([1, -1]) ** spec.rank), order
-        )
-        k = 3
-        while k <= order:
-            s = s * _geometric(order, k)
-            k += 2
+    def leaf(x):
+        if not isinstance(x, SuperPyth):
+            return expand_rational(_leaf_rational(x, p), order)
+        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** x.rank), order)
+        for k in range(3, order + 1, 2):
+            s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
         return s
-    if isinstance(spec, FreeProduct):
-        inv = TruncSeries(order, [1 - len(spec.factors)])
-        for f in spec.factors:
-            inv = inv + _hp(f, p, order).inverse()
-        return inv.inverse()
-    if isinstance(spec, DirectProduct):
+
+    def node(kind, factors):
+        if kind is FreeProduct:
+            inv = TruncSeries(order, [1 - len(factors)])
+            for q, m in Counter(factors).items():
+                inv = inv + m * q.inverse()
+            return inv.inverse()
         s = TruncSeries.one(order)
-        for f in spec.factors:
-            s = s * _hp(f, p, order)
+        for f in factors:
+            s = s * f
         return s
-    raise TypeError(f"not a group spec: {spec!r}")
+
+    return _fold(spec, leaf, node)
 
 
 @dataclass(frozen=True)
@@ -387,7 +389,22 @@ class SeriesRecipe:
 def closed_form(spec: GroupSpec, p: int) -> SeriesRecipe:
     """Finite closed form where one exists; a product-form marker otherwise."""
     validate(spec, p)
-    rf = _closed(spec, p)
+
+    def node(kind, factors):
+        if any(r is None for r in factors):
+            return None
+        if kind is FreeProduct:
+            # inv = P^-1 = m_1 Q_1^-1 + ... + m_j Q_j^-1 - (k - 1), as num / den
+            inv = RationalFunction([1 - len(factors)])
+            for r, m in Counter(factors).items():
+                inv = RationalFunction(inv.num * r.num + m * r.den * inv.den, inv.den * r.num)
+            return RationalFunction(inv.den, inv.num)
+        rf = RationalFunction([1])
+        for r in factors:
+            rf = rf * r
+        return rf
+
+    rf = _fold(spec, lambda leaf: _leaf_rational(leaf, p), node)
     if rf is not None:
         return SeriesRecipe(rational=rf, product_form=None)
     if isinstance(spec, SuperPyth):
@@ -396,34 +413,3 @@ def closed_form(spec: GroupSpec, p: int) -> SeriesRecipe:
     else:
         text = "product form (superpythagorean factor, no finite rational form)"
     return SeriesRecipe(rational=None, product_form=text)
-
-
-def _closed(spec: GroupSpec, p: int) -> RationalFunction | None:
-    if isinstance(spec, Free):
-        return RationalFunction([1], [1, -spec.rank])
-    if isinstance(spec, Cyclic):
-        return RationalFunction([1] * p, [1])
-    if isinstance(spec, Demushkin):
-        return RationalFunction([1], [1, -spec.rank, 1])
-    if isinstance(spec, Zp):
-        return RationalFunction([1], TruncPoly([1, -1]) ** spec.rank)
-    if isinstance(spec, SuperPyth):
-        return None
-    if isinstance(spec, FreeProduct):
-        # inv = P^-1 = P_1^-1 + ... + P_k^-1 - (k - 1), as num / den
-        inv = RationalFunction([1 - len(spec.factors)])
-        for f in spec.factors:
-            r = _closed(f, p)
-            if r is None:
-                return None
-            inv = RationalFunction(inv.num * r.num + r.den * inv.den, inv.den * r.num)
-        return RationalFunction(inv.den, inv.num)
-    if isinstance(spec, DirectProduct):
-        rf = RationalFunction([1])
-        for f in spec.factors:
-            r = _closed(f, p)
-            if r is None:
-                return None
-            rf = rf * r
-        return rf
-    raise TypeError(f"not a group spec: {spec!r}")

@@ -11,6 +11,7 @@ import pytest
 import zassenhaus
 from zassenhaus import cli
 from zassenhaus.dimensions import NonIntegralW
+from zassenhaus.groupspec import parse_group_spec
 from zassenhaus.series import NonIntegralLog
 from zassenhaus.verify import CheckResult
 
@@ -258,14 +259,15 @@ class TestExitCodes:
         code, out, err = run(["dims", "free(2)"], capsys)
         assert code == 4 and out == "" and "integrality error" in err
 
-    def test_deep_alternating_nesting_is_parse_error(self, capsys):
+    def test_deep_alternating_nesting_runs(self, capsys):
         text = "free(1)"
-        for i in range(1000):
+        for i in range(2000):
             text = f"free(1) {'*x'[i % 2]} ({text})"
-        code, out, err = run(["dims", text, "--max-n", "4"], capsys)
-        assert code == 2 and out == ""
-        assert len(err.splitlines()) == 1
-        assert "parse error" in err and "500" in err
+        code, out, err = run(["dims", text, "--max-n", "4", "--format", "json"], capsys)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert parse_group_spec(payload["spec"]) == parse_group_spec(text)
+        assert payload["c"][1] == 2001
 
     def test_element_cap_is_validation_error(self, capsys, monkeypatch):
         monkeypatch.setenv("ZASS_MAX_ELEMENTS", "16")

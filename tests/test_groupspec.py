@@ -1,5 +1,10 @@
 """Expression language: parsing, validation, series evaluation."""
+import sys
+from dataclasses import make_dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zassenhaus.groupspec import (
     ArityError,
@@ -7,7 +12,6 @@ from zassenhaus.groupspec import (
     Demushkin,
     DirectProduct,
     Free,
-    MAX_ALTERNATIONS,
     FreeProduct,
     ParseError,
     PrimeMismatch,
@@ -21,7 +25,23 @@ from zassenhaus.groupspec import (
     to_text,
     validate,
 )
-from zassenhaus.series import RationalFunction, expand_rational, format_poly
+from zassenhaus.series import RationalFunction, TruncSeries, expand_rational, format_poly
+
+
+def nest(levels):
+    """free(1) * (free(1) x (free(1) * (...))), `levels` alternations deep."""
+    text = "free(1)"
+    for i in range(levels):
+        text = f"free(1) {'*x'[i % 2]} ({text})"
+    return text
+
+
+def nest_by_hand(levels):
+    """The tree nest(levels) parses to, built without the parser."""
+    spec = Free(1)
+    for i in range(levels):
+        spec = (FreeProduct, DirectProduct)[i % 2](Free(1), spec)
+    return spec
 
 
 class TestParser:
@@ -52,27 +72,18 @@ class TestParser:
         assert FreeProduct(a, DirectProduct(b, c)).factors == (a, DirectProduct(b, c))
 
     def test_deep_alternating_nesting(self):
-        # free(1) * (free(1) x (free(1) * (...))), 300 parenthesis levels
-        text = "free(1)"
-        for i in range(300):
-            text = f"free(1) {'*x'[i % 2]} ({text})"
-        spec = parse_group_spec(text)
+        spec = parse_group_spec(nest(300))
         rf = closed_form(spec, 2).rational
         assert hp_series(spec, 2, 8) == expand_rational(rf, 8)
 
     def test_alternation_limit(self):
-        def nest(levels):
-            text = "free(1)"
-            for i in range(levels):
-                text = f"free(1) {'*x'[i % 2]} ({text})"
-            return text
-
-        parse_group_spec(nest(MAX_ALTERNATIONS))
-        with pytest.raises(ParseError, match=str(MAX_ALTERNATIONS)):
-            parse_group_spec(nest(MAX_ALTERNATIONS + 1))
+        # no limit: the parser, to_text and == take no stack per level
+        spec = parse_group_spec(nest(2000))
+        assert spec == nest_by_hand(2000)
+        assert parse_group_spec(to_text(spec)) == spec
 
     def test_redundant_parens_not_counted(self):
-        depth = 2 * MAX_ALTERNATIONS
+        depth = 1000
         assert parse_group_spec("(" * depth + "free(1)" + ")" * depth) == Free(1)
         text = "(" * depth + "free(1) * (zp(1) x cyclic(2))" + ")" * depth
         assert isinstance(parse_group_spec(text), FreeProduct)
@@ -137,13 +148,6 @@ class TestRoundTrip:
         assert to_text(spec) == "free(1) * free(2) * zp(1)"
 
     def test_deep_roundtrip_equality(self):
-        # free(1) * (free(1) x (free(1) * (...))), 450 alternations
-        def nest(levels):
-            text = "free(1)"
-            for i in range(levels):
-                text = f"free(1) {'*x'[i % 2]} ({text})"
-            return text
-
         spec = parse_group_spec(nest(450))
         again = parse_group_spec(to_text(spec))
         assert again == spec
@@ -272,3 +276,96 @@ class TestClosedForm:
             spec = parse_group_spec(text)
             recipe = closed_form(spec, 2)
             assert expand_rational(recipe.rational, 12) == hp_series(spec, 2, 12)
+
+
+class TestBottomUpWalk:
+    def test_one_inverse_per_distinct_free_factor(self, monkeypatch):
+        calls = []
+        inverse = TruncSeries.inverse
+
+        def counted(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(TruncSeries, "inverse", counted)
+        s = hp_series(FreeProduct(*[Cyclic(2)] * 1200), 2, 8)
+        assert len(calls) == 2
+        # P = (1 + t) / (1 - 1199t)
+        assert s.int_coeffs()[:3] == [1, 1200, 1200 * 1199]
+
+    def test_5000_alternations_built_by_hand(self):
+        assert sys.getrecursionlimit() <= 1000
+        spec = nest_by_hand(5000)
+        twin = nest_by_hand(5000)
+        assert spec == twin and hash(spec) == hash(twin)
+        assert spec != nest_by_hand(4999)
+        names = ("FreeProduct", "DirectProduct")
+        opened = "".join(
+            f"{names[i % 2]}(factors=(Free(rank=1), " for i in reversed(range(5000))
+        )
+        assert repr(spec) == opened + "Free(rank=1)" + "))" * 5000
+        again = parse_group_spec(to_text(spec))
+        assert again == spec and hash(again) == hash(spec)
+        validate(spec, 2)
+        # every free(1) adds one generator through either product
+        assert hp_series(spec, 2, 8)[1] == 5001
+
+    def test_closed_form_600_alternations(self):
+        spec = nest_by_hand(600)
+        assert expand_rational(closed_form(spec, 2).rational, 8) == hp_series(spec, 2, 8)
+
+    def test_non_spec_factor_is_type_error(self):
+        bad = FreeProduct(Free(1), DirectProduct(Zp(1), "free(2)"))
+        for walk in (to_text, repr, hash, lambda s: validate(s, 2), lambda s: hp_series(s, 2, 4)):
+            with pytest.raises(TypeError, match="not a group spec"):
+                walk(bad)
+
+
+def _trees(p):
+    leaves = [
+        st.builds(Free, st.integers(0, 3)),
+        st.just(Cyclic(p)),
+        st.builds(Demushkin, st.integers(2, 4)),
+        st.builds(Zp, st.integers(0, 3)),
+    ]
+    if p == 2:
+        leaves.append(st.builds(SuperPyth, st.integers(0, 2)))
+    node = st.sampled_from([FreeProduct, DirectProduct])
+    return st.recursive(
+        st.one_of(leaves),
+        lambda kids: st.builds(lambda kind, fs: kind(*fs), node, st.lists(kids, min_size=2, max_size=4)),
+        max_leaves=12,
+    )
+
+
+_prime_and_tree = st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(st.just(p), _trees(p)))
+
+# The dataclass repr of a product, from a plain recursive dataclass mirror.
+_MIRROR = {kind: make_dataclass(kind.__name__, ["factors"]) for kind in (FreeProduct, DirectProduct)}
+
+
+def _reference_repr(spec):
+    def mirror(s):
+        if isinstance(s, (FreeProduct, DirectProduct)):
+            return _MIRROR[type(s)](tuple(mirror(f) for f in s.factors))
+        return s
+
+    return repr(mirror(spec))
+
+
+class TestRandomTrees:
+    @settings(max_examples=150, deadline=None)
+    @given(_prime_and_tree)
+    def test_text_roundtrip_and_repr(self, case):
+        _, spec = case
+        again = parse_group_spec(to_text(spec))
+        assert again == spec and hash(again) == hash(spec)
+        assert repr(spec) == _reference_repr(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_prime_and_tree)
+    def test_series_matches_closed_form(self, case):
+        p, spec = case
+        recipe = closed_form(spec, p)
+        if recipe.is_rational:
+            assert hp_series(spec, p, 10) == expand_rational(recipe.rational, 10)
