@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 from .numtheory import is_prime
@@ -344,23 +345,24 @@ def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
 
     Leaves get their known series; a free product of k factors composes by
     P = (P_1^-1 + ... + P_k^-1 - (k - 1))^-1, with one inverse per distinct
-    factor series, and a direct product multiplies.
+    factor series in the whole expression, and a direct product multiplies.
     """
     validate(spec, p)
+    inverse = cache(TruncSeries.inverse)
 
     def leaf(x):
         if not isinstance(x, SuperPyth):
             return expand_rational(_leaf_rational(x, p), order)
         s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** x.rank), order)
         for k in range(3, order + 1, 2):
-            s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
+            s = s / TruncPoly([1] + [0] * (k - 1) + [-1])
         return s
 
     def node(kind, factors):
         if kind is FreeProduct:
             inv = TruncSeries(order, [1 - len(factors)])
             for q, m in Counter(factors).items():
-                inv = inv + m * q.inverse()
+                inv = inv + m * inverse(q)
             return inv.inverse()
         s = TruncSeries.one(order)
         for f in factors:

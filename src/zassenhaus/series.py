@@ -4,11 +4,16 @@ All arithmetic uses fractions.Fraction or arbitrary-precision int; no floats.
 A TruncSeries carries its truncation order and raises instead of inventing
 coefficients past it, and binary operations only ever claim the order both
 operands support.
+
+Every series quotient is one recurrence, _quotient: the inverse is 1 / a, the
+logarithm integrates a' / a, expand_rational is num / den, and a series
+divides by a polynomial such as 1 - t^k. Polynomial long division over Q is
+likewise one routine, _poly_divmod, behind both poly_gcd and exact division.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .numtheory import is_prime
@@ -115,9 +120,6 @@ class TruncPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> TruncPoly:
-        return (-self) + other
-
     def __mul__(self, other) -> TruncPoly:
         if isinstance(other, int):
             return TruncPoly(c * other for c in self._coeffs)
@@ -154,10 +156,7 @@ class TruncPoly:
 
 
 def _content(p: TruncPoly) -> int:
-    g = 0
-    for c in p.coeffs:
-        g = gcd(g, c)
-    return g
+    return gcd(*p.coeffs)
 
 
 def _primitive(coeffs: Sequence[Fraction]) -> TruncPoly:
@@ -167,59 +166,72 @@ def _primitive(coeffs: Sequence[Fraction]) -> TruncPoly:
         cs.pop()
     if not cs:
         return TruncPoly()
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    den_lcm = lcm(*(c.denominator for c in cs))
     ints = [int(c * den_lcm) for c in cs]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     if ints[-1] < 0:
         ints = [-c for c in ints]
     return TruncPoly(ints)
 
 
+def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b over Q, coefficients low degree first.
+
+    b must have a nonzero leading coefficient; the remainder comes back with
+    trailing zeros stripped, so it is empty exactly when b divides a.
+    """
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(b):
+            return quot, rem
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+
+
 def poly_gcd(a: TruncPoly, b: TruncPoly) -> TruncPoly:
     """Primitive gcd in Z[t], positive leading coefficient (Euclid over Q)."""
-    fa = [Fraction(c) for c in a.coeffs]
-    fb = [Fraction(c) for c in b.coeffs]
+    fa, fb = a.coeffs, b.coeffs
     while fb:
-        # remainder of fa modulo fb
-        fa = fa[:]
-        while len(fa) >= len(fb) and fa:
-            q = fa[-1] / fb[-1]
-            shift = len(fa) - len(fb)
-            for i, c in enumerate(fb):
-                fa[shift + i] -= q * c
-            while fa and fa[-1] == 0:
-                fa.pop()
-        fa, fb = fb, fa
+        fa, fb = fb, _poly_divmod(fa, fb)[1]
     return _primitive(fa)
 
 
 def _poly_divexact(a: TruncPoly, g: TruncPoly) -> TruncPoly:
-    """Quotient a / g, asserting the division is exact over Z."""
+    """Quotient a / g; raises ArithmeticError unless the division is exact over Z."""
     if g.degree < 0:
         raise ZeroDivisionError("division by zero polynomial")
-    rem = [Fraction(c) for c in a.coeffs]
-    quot = [Fraction(0)] * max(len(rem) - g.degree, 0)
-    while len(rem) > g.degree:
-        q = rem[-1] / g.coeffs[-1]
-        shift = len(rem) - len(g.coeffs)
-        quot[shift] = q
-        for i, c in enumerate(g.coeffs):
-            rem[shift + i] -= q * c
-        while rem and rem[-1] == 0:
-            rem.pop()
+    quot, rem = _poly_divmod(a.coeffs, g.coeffs)
     if rem:
         raise ArithmeticError("inexact polynomial division")
+    if any(c.denominator != 1 for c in quot):
+        raise ArithmeticError("quotient is not integral")
+    return TruncPoly(c.numerator for c in quot)
+
+
+def _quotient(num: Sequence, den: Sequence, order: int) -> list[Fraction]:
+    """Coefficients 0..order of the series num / den, for den[0] != 0.
+
+    out[k] = (num[k] - sum_{j >= 1} den[j] * out[k - j]) / den[0], visiting only
+    the nonzero terms of den; entries past the end of num or den are zero.
+    """
+    d0 = Fraction(den[0])
+    terms = [(j, d) for j, d in enumerate(den[1:order + 1], start=1) if d]
     out = []
-    for c in quot:
-        if c.denominator != 1:
-            raise ArithmeticError("quotient is not integral")
-        out.append(c.numerator)
-    return TruncPoly(out)
+    for k in range(order + 1):
+        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        for j, d in terms:
+            if j > k:
+                break
+            acc -= d * out[k - j]
+        out.append(acc / d0)
+    return out
 
 
 class RationalFunction:
@@ -335,20 +347,13 @@ class TruncSeries:
             raise ValueError("series has non-integer coefficients")
         return [c.numerator for c in self._coeffs]
 
-    def _binary(self, other):
+    def __add__(self, other) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
             other = TruncSeries(self._order, [other])
         if not isinstance(other, TruncSeries):
-            return None
-        order = min(self._order, other._order)
-        return order, other
-
-    def __add__(self, other) -> TruncSeries:
-        packed = self._binary(other)
-        if packed is None:
             return NotImplemented
-        order, other = packed
-        return TruncSeries(order, [self._coeffs[k] + other._coeffs[k] for k in range(order + 1)])
+        order = min(self._order, other._order)
+        return TruncSeries(order, [a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     __radd__ = __add__
 
@@ -356,14 +361,9 @@ class TruncSeries:
         return TruncSeries(self._order, [-c for c in self._coeffs])
 
     def __sub__(self, other) -> TruncSeries:
-        packed = self._binary(other)
-        if packed is None:
+        if not isinstance(other, (int, Fraction, TruncSeries)):
             return NotImplemented
-        order, other = packed
-        return TruncSeries(order, [self._coeffs[k] - other._coeffs[k] for k in range(order + 1)])
-
-    def __rsub__(self, other) -> TruncSeries:
-        return (-self) + other
+        return self + (-other)
 
     def __mul__(self, other) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
@@ -384,76 +384,58 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> TruncSeries:
-        a = self._coeffs
-        if a[0] == 0:
+    def __truediv__(self, other: TruncPoly) -> TruncSeries:
+        """self / other for a polynomial other with nonzero constant term."""
+        if not isinstance(other, TruncPoly):
+            return NotImplemented
+        if other[0] == 0:
             raise NotInvertible("constant term is 0")
-        n = self._order
-        inv0 = 1 / a[0]
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(inv0)
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                if a[j] != 0:
-                    acc += a[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(n, out)
+        return TruncSeries(self._order, _quotient(self._coeffs, other.coeffs, self._order))
+
+    def inverse(self) -> TruncSeries:
+        if self._coeffs[0] == 0:
+            raise NotInvertible("constant term is 0")
+        return TruncSeries(self._order, _quotient([1], self._coeffs, self._order))
 
     def log(self) -> TruncSeries:
-        """Formal logarithm via the recurrence a * (log a)' = a'.
+        """Formal logarithm b = log a from b' = a' / a.
 
-        For an integer-coefficient input the k-th derivative coefficient
-        k * b_k stays integral; NonIntegralLog is raised otherwise, so callers
-        need not recheck.
+        The coefficient of t^(k-1) in a' / a is s_k = k * b_k. For an
+        integer-coefficient input every s_k stays integral;
+        NonIntegralLog is raised at the first that is not, so callers need not
+        recheck.
         """
         a = self._coeffs
         if a[0] != 1:
             raise ConstantTermNotOne("log requires constant term 1")
         n = self._order
-        integral_input = self.is_integral()
-        dlog = [Fraction(0)] * n  # dlog[k] = (k + 1) * b_{k+1}
-        for k in range(n):
-            acc = Fraction(k + 1) * a[k + 1]
-            for j in range(1, k + 1):
-                if a[j] != 0:
-                    acc -= a[j] * dlog[k - j]
-            dlog[k] = acc
-            if integral_input and acc.denominator != 1:
-                raise NonIntegralLog(k + 1, acc)
-        out = [Fraction(0)] * (n + 1)
-        for k in range(n):
-            out[k + 1] = dlog[k] / (k + 1)
-        return TruncSeries(n, out)
+        s = _quotient([k * a[k] for k in range(1, n + 1)], a, n - 1)
+        if self.is_integral():
+            for k, sk in enumerate(s, start=1):
+                if sk.denominator != 1:
+                    raise NonIntegralLog(k, sk)
+        return TruncSeries(n, [0] + [sk / k for k, sk in enumerate(s, start=1)])
 
     def __pow__(self, e: int) -> TruncSeries:
+        """(a_0 + u)^e = sum_k C(e, k) a_0^(e - k) u^k, over k <= e.
+
+        u^k vanishes in the window once k > order // val(u), which keeps huge
+        exponents cheap.
+        """
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
             raise NegativeExponent("series power must be >= 0")
-        if e == 0:
-            return TruncSeries.one(self._order)
-        if self._coeffs[0] == 1:
-            # (1 + u)^e by binomial expansion; only order // val(u) terms matter,
-            # which keeps huge exponents cheap.
-            u = self - 1
-            v = u.valuation()
-            if v is None:
-                return TruncSeries.one(self._order)
-            acc = TruncSeries.one(self._order)
-            uk = TruncSeries.one(self._order)
-            for k in range(1, self._order // v + 1):
-                uk = uk * u
-                acc = acc + comb(e, k) * uk
-            return acc
-        result = TruncSeries.one(self._order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        a0 = self._coeffs[0]
+        u = self - a0
+        v = u.valuation()
+        top = 0 if v is None else min(e, self._order // v)
+        acc = TruncSeries(self._order, [a0 ** e])
+        uk = TruncSeries.one(self._order)
+        for k in range(1, top + 1):
+            uk = uk * u
+            acc = acc + comb(e, k) * a0 ** (e - k) * uk
+        return acc
 
     def __eq__(self, other) -> bool:
         if isinstance(other, TruncSeries):
@@ -469,16 +451,7 @@ class TruncSeries:
 
 def expand_rational(rf: RationalFunction, order: int) -> TruncSeries:
     """Power-series expansion of num/den to the given order, exactly."""
-    num, den = rf.num, rf.den
-    d0 = Fraction(den[0])
-    out = [Fraction(0)] * (order + 1)
-    for k in range(order + 1):
-        acc = Fraction(num[k])
-        for j in range(1, k + 1):
-            if den[j] != 0:
-                acc -= den[j] * out[k - j]
-        out[k] = acc / d0
-    return TruncSeries(order, out)
+    return TruncSeries(order, _quotient(rf.num.coeffs, rf.den.coeffs, order))
 
 
 def product_identity_rhs(c: Sequence[int], p: int, order: int) -> TruncSeries:

@@ -25,7 +25,13 @@ from zassenhaus.groupspec import (
     to_text,
     validate,
 )
-from zassenhaus.series import RationalFunction, TruncSeries, expand_rational, format_poly
+from zassenhaus.series import (
+    RationalFunction,
+    TruncPoly,
+    TruncSeries,
+    expand_rational,
+    format_poly,
+)
 
 
 def nest(levels):
@@ -230,6 +236,15 @@ class TestHpSeries:
         s = hp_series(SuperPyth(0), 2, 6)
         assert s.int_coeffs() == [1, 1, 0, 1, 1, 1, 2]
 
+    @pytest.mark.parametrize("d", range(5))
+    def test_superpyth_matches_dense_products(self, d):
+        # the leaf divides by 1 - t^k; multiplying by sum_j t^(jk) is the same
+        order = 120
+        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** d), order)
+        for k in range(3, order + 1, 2):
+            s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
+        assert hp_series(SuperPyth(d), 2, order) == s
+
     def test_direct_product_multiplies(self):
         lhs = hp_series(parse_group_spec("free(2) x free(2)"), 2, 6)
         sq = hp_series(Free(2), 2, 6)
@@ -309,6 +324,19 @@ class TestBottomUpWalk:
         validate(spec, 2)
         # every free(1) adds one generator through either product
         assert hp_series(spec, 2, 8)[1] == 5001
+
+    def test_one_inverse_per_distinct_factor_in_whole_fold(self, monkeypatch):
+        calls = []
+        inverse = TruncSeries.inverse
+
+        def counted(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(TruncSeries, "inverse", counted)
+        assert hp_series(nest_by_hand(5000), 2, 8)[1] == 5001
+        # free(1) is inverted once for all 2500 free products, not once each
+        assert len(calls) <= 5000
 
     def test_closed_form_600_alternations(self):
         spec = nest_by_hand(600)

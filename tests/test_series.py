@@ -197,3 +197,32 @@ def test_double_inverse_is_identity(s):
 def test_multiplication_laws(a, b, c):
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def _poly(max_degree):
+    return st.lists(st.integers(-5, 5), min_size=1, max_size=max_degree + 1)
+
+
+_dens = st.one_of(
+    _poly(6).filter(lambda cs: cs[0] != 0),
+    st.integers(1, 9).map(lambda k: [1] + [0] * (k - 1) + [-1]),  # 1 - t^k
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_poly(8), _dens, st.integers(0, 12))
+def test_expand_rational_times_den_is_num(num, den, order):
+    rf = RationalFunction(num, den)
+    expansion = expand_rational(rf, order)
+    lhs = TruncSeries(order, rf.den.coeffs[:order + 1]) * expansion
+    assert lhs == TruncSeries(order, rf.num.coeffs[:order + 1])
+
+
+@pytest.mark.parametrize("a0", [0, 2, -1, Fraction(1, 2)])
+@pytest.mark.parametrize("tail", [[3, -1, 0, 2, 1, -2], [0, 1, 0, 0, -1, 5]])
+def test_pow_any_constant_term_is_repeated_multiplication(a0, tail):
+    s = TruncSeries(6, [a0] + tail)
+    power = TruncSeries.one(6)
+    for e in range(10):
+        assert s ** e == power
+        power = power * s
