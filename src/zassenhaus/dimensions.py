@@ -18,7 +18,7 @@ from math import comb, factorial
 from typing import Sequence
 
 from .groupspec import Demushkin, Free, GroupSpec, hp_series
-from .numtheory import divisors, is_prime, moebius
+from .numtheory import divisors, is_prime, moebius, moebius_table
 
 __all__ = [
     "DimensionTable",
@@ -70,19 +70,29 @@ def w_sequence(b: Sequence[Fraction]) -> list[int]:
     """Product exponents from log coefficients: w_n = (1/n) sum mu(n/m) m b_m.
 
     b lists b_1, b_2, ... (entry i is the coefficient of t^(i+1) in log P).
-    Raises NonIntegralW at the first non-integral degree.
+    Each s_m = m b_m is added, times mu(k), into degree n = k m for every
+    squarefree k, with mu read from one sieved table; for an integral P every
+    s_m is an integer and so is the whole sum. Raises NonIntegralW at the
+    first degree where n does not divide it.
     """
+    top = len(b)
+    mu = moebius_table(top)
+    squarefree = [(k, mu[k]) for k in range(1, top + 1) if mu[k]]
+    sums = [0] * (top + 1)
+    for m in range(1, top + 1):
+        s = m * Fraction(b[m - 1])
+        if s.denominator == 1:
+            s = s.numerator
+        for k, sign in squarefree:
+            if k * m > top:
+                break
+            sums[k * m] += sign * s
     out = []
-    for n in range(1, len(b) + 1):
-        acc = Fraction(0)
-        for m in divisors(n):
-            mu = moebius(n // m)
-            if mu:
-                acc += mu * m * Fraction(b[m - 1])
-        acc /= n
-        if acc.denominator != 1:
-            raise NonIntegralW(n, acc)
-        out.append(acc.numerator)
+    for n in range(1, top + 1):
+        w, rest = divmod(sums[n], n)
+        if rest:
+            raise NonIntegralW(n, Fraction(sums[n], n))
+        out.append(w)
     return out
 
 

@@ -38,11 +38,23 @@ class TooLarge(ValueError):
     """Requested group exceeds the configured element cap."""
 
 
+class InvalidCap(ValueError):
+    """The element cap in the environment is not a positive integer."""
+
+
 def element_cap(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
     env = os.environ.get(ENV_CAP)
-    return int(env) if env else DEFAULT_ELEMENT_CAP
+    if not env:
+        return DEFAULT_ELEMENT_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise InvalidCap(f"{ENV_CAP} must be a positive integer, got {env!r}")
+    return cap
 
 
 class FiniteGroup:

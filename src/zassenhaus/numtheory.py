@@ -48,3 +48,30 @@ def moebius(n: int) -> int:
     if n > 1:
         result = -result
     return result
+
+
+def moebius_table(n: int) -> list[int]:
+    """[mu(0), mu(1), ..., mu(n)] by a linear sieve, with mu(0) stored as 0.
+
+    Each composite is struck once, by its least prime factor q: mu(i q) is 0
+    when q already divides i, else -mu(i).
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    mu = [0] * (n + 1)
+    if n >= 1:
+        mu[1] = 1
+    composite = bytearray(n + 1)
+    primes: list[int] = []
+    for i in range(2, n + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for q in primes:
+            if i * q > n:
+                break
+            composite[i * q] = 1
+            if i % q == 0:
+                break  # mu(i q) = 0, already stored
+            mu[i * q] = -mu[i]
+    return mu

@@ -454,26 +454,49 @@ def expand_rational(rf: RationalFunction, order: int) -> TruncSeries:
     return TruncSeries(order, _quotient(rf.num.coeffs, rf.den.coeffs, order))
 
 
+def _times_binomial(out: list[int], step: int, e: int) -> None:
+    """Multiply out, in place and cut at its length, by (1 - t^step)^e.
+
+    The factor is sum_k (-1)^k C(e, k) t^(step k) for any integer e. Term k
+    follows from term k - 1 by the exact integer step
+    term_k = term_(k-1) (k - 1 - e) / k, and for e >= 0 the terms past k = e
+    are 0.
+    """
+    old = out[:]
+    term = 1
+    for k in range(1, (len(out) - 1) // step + 1):
+        term = term * (k - 1 - e) // k
+        if term == 0:
+            break
+        shift = k * step
+        out[shift:] = [x + term * y for x, y in zip(out[shift:], old)]
+
+
 def product_identity_rhs(c: Sequence[int], p: int, order: int) -> TruncSeries:
     """Expand prod_n ((1 - t^(n p)) / (1 - t^n))^(c_n) to the given order.
 
     c lists c_1, c_2, ... (entry i is the exponent for n = i + 1); factors with
     n > order cannot touch the window and are skipped. Each factor is the
-    polynomial 1 + t^n + ... + t^(n(p-1)) raised to c_n.
+    product of two sparse binomial series with integer coefficients,
+
+        (1 - t^(n p))^c = sum_k (-1)^k C(c, k) t^(n p k),   floor(N/(n p)) + 1 terms,
+        (1 - t^n)^(-c)  = sum_k C(c + k - 1, k) t^(n k),    floor(N/n) + 1 terms,
+
+    so the whole expansion is O(N^2 log N) integer multiply-adds, however large
+    c_n is, and takes no logarithm and no division of series.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    result = TruncSeries.one(order)
+    out = [1] + [0] * order
     for n, cn in enumerate(c, start=1):
         cn = _as_int(cn)
         if cn < 0:
             raise NegativeExponent(f"c_{n} = {cn} is negative")
         if n > order or cn == 0:
             continue
-        top = min(order, n * (p - 1))
-        base = TruncSeries(order, [1 if k % n == 0 else 0 for k in range(top + 1)])
-        result = result * (base ** cn)
-    return result
+        _times_binomial(out, n * p, cn)
+        _times_binomial(out, n, -cn)
+    return TruncSeries(order, out)
 
 
 def format_poly(p: TruncPoly, var: str = "t") -> str:

@@ -276,6 +276,21 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert "validation error" in err and "ZASS_MAX_ELEMENTS" in err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-4", "2.5"])
+    def test_bad_element_cap_names_the_variable(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ZASS_MAX_ELEMENTS", value)
+        code, out, err = run(["verify", "--suite", "finite"], capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            f"validation error: ZASS_MAX_ELEMENTS must be a positive integer, got {value!r}\n"
+        )
+
+    def test_coefficients_past_4300_digits(self, capsys):
+        code, out, err = run(["series", "free(100000)", "--max-n", "900"], capsys)
+        assert code == 0 and err == ""
+        last = out.strip().strip("[]").split(", ")[-1]
+        assert len(last) == 4501 and last == "1" + "0" * 4500
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0

@@ -22,7 +22,7 @@ from zassenhaus.dimensions import (
     w_sequence,
 )
 from zassenhaus.groupspec import Cyclic, Demushkin, Free, parse_group_spec
-from zassenhaus.numtheory import divisors, is_prime, moebius
+from zassenhaus.numtheory import divisors, is_prime, moebius, moebius_table
 from zassenhaus.series import ConstantTermNotOne, TruncSeries
 
 
@@ -51,6 +51,12 @@ class TestNumtheory:
             divisors(0)
         with pytest.raises(ValueError):
             moebius(0)
+        with pytest.raises(ValueError):
+            moebius_table(-1)
+
+    def test_sieved_moebius_table(self):
+        assert moebius_table(2000) == [0] + [moebius(k) for k in range(1, 2001)]
+        assert moebius_table(0) == [0] and moebius_table(1) == [0, 1]
 
 
 class TestWSequence:
@@ -70,6 +76,53 @@ class TestWSequence:
             w_sequence([Fraction(0), Fraction(1, 2)])
         assert exc.value.degree == 2
         assert exc.value.value == Fraction(1, 2)
+
+
+def _w_by_divisor_sums(b):
+    """w_n = (1/n) sum over m | n of mu(n/m) m b_m, in Fractions, degree by degree."""
+    out = []
+    for n in range(1, len(b) + 1):
+        acc = Fraction(0)
+        for m in divisors(n):
+            acc += moebius(n // m) * m * Fraction(b[m - 1])
+        acc /= n
+        if acc.denominator != 1:
+            raise NonIntegralW(n, acc)
+        out.append(acc.numerator)
+    return out
+
+
+def _log_of_product(w):
+    """b_m = (1/m) sum over n | m of n w_n: log of prod_n 1/(1 - t^n)^(w_n)."""
+    return [
+        Fraction(sum(n * w[n - 1] for n in divisors(m)), m) for m in range(1, len(w) + 1)
+    ]
+
+
+class TestWSequenceAgainstDivisorSums:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=300))
+    def test_integral_inputs(self, w):
+        b = _log_of_product(w)
+        assert w_sequence(b) == _w_by_divisor_sums(b) == w
+
+    def test_pipeline_logs_to_degree_300(self):
+        for text in ("free(2)", "demushkin(3) * free(1)", "cyclic(2) * zp(2)"):
+            b = dims_table(parse_group_spec(text), 2, 300).b[1:]
+            assert w_sequence(b) == _w_by_divisor_sums(b), text
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=6), min_size=1, max_size=40))
+    def test_same_first_failure(self, b):
+        try:
+            want = _w_by_divisor_sums(b)
+        except NonIntegralW as exc:
+            with pytest.raises(NonIntegralW) as got:
+                w_sequence(b)
+            assert (got.value.degree, got.value.value, str(got.value)) == (
+                exc.degree, exc.value, str(exc))
+        else:
+            assert w_sequence(b) == want
 
 
 class TestIntegralityChecks:

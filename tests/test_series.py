@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zassenhaus import finite, verify
 from zassenhaus.series import (
     ConstantTermNotOne,
     NegativeExponent,
@@ -160,6 +161,44 @@ def test_product_identity_rhs_rejects_negative():
 def test_product_identity_rhs_rejects_composite_p():
     with pytest.raises(ValueError):
         product_identity_rhs([1], 6, 4)
+
+
+def _dense_product_identity(c, p, order):
+    """The dense Fraction rebuild: each factor 1 + t^n + ... + t^(n(p-1)) to the power c_n."""
+    result = TruncSeries.one(order)
+    for n, cn in enumerate(c, start=1):
+        if n > order or cn == 0:
+            continue
+        top = min(order, n * (p - 1))
+        base = TruncSeries(order, [1 if k % n == 0 else 0 for k in range(top + 1)])
+        result = result * (base ** cn)
+    return result
+
+
+_exponents = st.lists(
+    st.one_of(st.just(0), st.integers(0, 5), st.integers(0, 10 ** 12)), max_size=32
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exponents, st.sampled_from([2, 3, 5, 7]), st.integers(0, 30))
+def test_product_identity_rhs_matches_dense_powers(c, p, order):
+    assert product_identity_rhs(c, p, order) == _dense_product_identity(c, p, order)
+
+
+def test_product_identity_rhs_output_type():
+    s = product_identity_rhs([3, 10 ** 20], 3, 6)
+    assert isinstance(s, TruncSeries) and s.order == 6
+    assert s.int_coeffs() == _dense_product_identity([3, 10 ** 20], 3, 6).int_coeffs()
+    assert product_identity_rhs([], 2, 0).int_coeffs() == [1]
+
+
+def test_jl_polynomial_unchanged_on_finite_suite_groups():
+    for label, group, depth in verify.group_algebra_cases(include_slow=True):
+        c = verify._dims_until_trivial(finite.zassenhaus_filtration_finite(group, depth))
+        degree = (group.p - 1) * sum(n * cn for n, cn in enumerate(c, start=1))
+        dense = _dense_product_identity(c, group.p, degree).int_coeffs()
+        assert verify._jl_polynomial(c, group.p) == TruncPoly(dense), label
 
 
 def test_format_poly():
