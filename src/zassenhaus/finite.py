@@ -118,6 +118,8 @@ class FiniteGroup:
         term = acc.copy()
         for k in range(1, self.size):
             term = (term @ nil) % self.p
+            if not term.any():
+                break  # every later power of N vanishes too
             sign = 1 if k % 2 == 0 else self.p - 1
             acc = (acc + sign * term) % self.p
         return acc.astype(self._dtype)
@@ -177,6 +179,8 @@ class FiniteGroup:
         for lo in range(0, a.size, chunk):
             ma = self.matrices(a[lo : lo + chunk])[:, None]
             pieces.append(np.unique(self.index_of(combine(ma, mb))))
+        if len(pieces) == 1:
+            return pieces[0]
         return np.unique(np.concatenate(pieces))
 
     def commutators(self, a, b) -> np.ndarray:
@@ -338,11 +342,19 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
 
 
 def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
-    """Nonzero rows of a row-echelon form over F_p.
+    """Nonzero rows of a row-echelon form over F_p, each leading entry 1.
 
-    Accepts any integer dtype and returns int64.  At p = 2 the rows are
-    bit-packed as given and eliminated by XOR; at odd p they are widened to
-    int64 and one column is cleared at a time.
+    Accepts any integer dtype and returns int64.  The input need not be
+    reduced: the elimination reduces it itself.  At p = 2 the rows are
+    bit-packed and eliminated by XOR (see _row_echelon_gf2).  At odd p the
+    rows are widened to int64 and one column is cleared at a time, with the
+    reduction mod p delayed (Dumas, Giorgi & Pernet, ISSAC 2004): only the
+    pivot column and the pivot row are reduced, and a pivot subtracts at
+    most (p - 1)^2 from an entry of a row below it.  After k pivots without
+    a reduction every other entry lies in (-k (p - 1)^2, p); the rows below
+    are reduced again only before that bound would pass 2^62, so no int64
+    wraps for p < 2^31.  The returned rows are reduced once, at the end,
+    and equal those of a loop that reduces after every pivot.
     """
     m = np.asarray(mat)
     if m.dtype.kind not in "iu":
@@ -352,24 +364,34 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     if p == 2:
         return _row_echelon_gf2(m)
     m = m.astype(np.int64) % p
+    step = (p - 1) ** 2
+    bound = p  # every entry of the unreduced rows lies in (-bound, bound)
     rank = 0
     rows, cols = m.shape
     for col in range(cols):
         if rank == rows:
             break
-        pivots = np.nonzero(m[rank:, col])[0]
+        column = m[rank:, col] % p
+        pivots = np.nonzero(column)[0]
         if pivots.size == 0:
             continue
         piv = rank + int(pivots[0])
         if piv != rank:
             m[[rank, piv]] = m[[piv, rank]]
-        m[rank] = (m[rank] * pow(int(m[rank, col]), -1, p)) % p
-        below = m[rank + 1 :, col]
-        hits = np.nonzero(below)[0]
+            column[[0, piv - rank]] = column[[piv - rank, 0]]
+        pivot_row = m[rank, col:] % p
+        pivot_row = (pivot_row * pow(int(pivot_row[0]), -1, p)) % p
+        m[rank, col:] = pivot_row
+        hits = np.nonzero(column[1:])[0]
         if hits.size:
-            m[rank + 1 + hits] = (m[rank + 1 + hits] - np.outer(below[hits], m[rank])) % p
+            if bound + step > 1 << 62:
+                m[rank + 1 :, col:] %= p
+                bound = p
+            below = rank + 1 + hits
+            m[below, col:] -= np.outer(column[1 + hits], pivot_row)
+            bound += step
         rank += 1
-    return m[:rank]
+    return m[:rank] % p
 
 
 def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
@@ -416,7 +438,8 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates
     gathers = [group.mult(all_idx, group.inverse(s)) for s in group.generators()]
 
-    # entries stay in [0, p); b s - b is formed as b s + (p - b) < 2p
+    # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
+    # lies in [0, 2p); row_echelon_mod_p reduces its input itself
     dtype = np.min_scalar_type(2 * p)
     basis = np.zeros((n_el - 1, n_el), dtype=dtype)
     basis[:, 1:] = np.eye(n_el - 1, dtype=dtype)
@@ -424,7 +447,7 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
 
     ranks = [n_el, basis.shape[0]]
     while basis.shape[0] and len(ranks) <= depth:
-        stacked = np.vstack([(basis[:, inv] + (p - basis)) % p for inv in gathers])
+        stacked = np.vstack([basis[:, inv] + (p - basis) for inv in gathers])
         basis = row_echelon_mod_p(stacked, p).astype(dtype)
         ranks.append(basis.shape[0])
     while len(ranks) <= depth + 1:

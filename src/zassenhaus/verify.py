@@ -269,6 +269,7 @@ def group_algebra_cases(include_slow: bool = False) -> list[tuple[str, fin.Finit
         ("unitriangular(3, 2)", fin.unitriangular_group(3, 2), 4),
         ("unitriangular(3, 3)", fin.unitriangular_group(3, 3), 4),
         ("unitriangular(3, 5)", fin.unitriangular_group(3, 5), 3),
+        ("unitriangular(3, 7)", fin.unitriangular_group(3, 7), 3),
         ("unitriangular(5, 2)", fin.unitriangular_group(5, 2), 6),
     ]
     if include_slow:

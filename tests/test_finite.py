@@ -151,6 +151,24 @@ class TestArithmetic:
         comms = g.commutators([g.identity], everyone)
         assert set(comms.tolist()) == {g.identity}
 
+    def test_pair_scan_chunks_agree(self, monkeypatch):
+        g = fin.unitriangular_group(4, 2)
+        everyone = np.arange(g.order)
+
+        def scans():
+            return [
+                g.commutators(everyone, everyone),
+                g.conjugates(everyone, everyone[:9]),
+                g.products(everyone[5:], everyone),
+            ]
+
+        whole = scans()
+        # one row of a per chunk, so every scan is many chunks
+        monkeypatch.setattr(fin, "_CHUNK_PAIRS", 50)
+        for one, many in zip(whole, scans()):
+            assert one.dtype == many.dtype == np.int64
+            assert (one == many).all() and (np.diff(one) > 0).all()
+
 
 class TestGenerators:
     def test_unitriangular_superdiagonal(self):
@@ -328,6 +346,43 @@ class TestGroupAlgebra:
             assert all(row[lead] == 1 for row, lead in zip(got, leads))
             assert leads == sorted(set(leads))
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_delayed_reduction_matches_column_loop(self, p):
+        # tall inputs, unreduced as the augmentation stacks are: the rows
+        # below take up to rank updates before the end, so their entries
+        # grow far past p
+        rng = np.random.default_rng(p)
+        low_rank = rng.integers(0, p, size=(320, 12)) @ rng.integers(0, p, size=(12, 60))
+        for mat in [
+            rng.integers(0, 2 * p, size=(300, 40)),
+            rng.integers(0, 2 * p, size=(400, 90)).astype(np.uint8),
+            low_rank % p + p * rng.integers(0, 2, size=low_rank.shape),
+        ]:
+            want = _column_loop_echelon(mat, p)
+            got = fin.row_echelon_mod_p(mat, p)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape and (got == want).all()
+
+    def test_delayed_reduction_at_large_prime(self):
+        # (p - 1)^2 is just under 2^62, so the rows below are reduced again
+        # before every update but the first; without that they wrap int64
+        p = 2147483647
+        rng = np.random.default_rng(11)
+        mat = rng.integers(0, 2 * p, size=(24, 16))
+        want = _column_loop_echelon(mat, p)
+        got = fin.row_echelon_mod_p(mat, p)
+        assert got.dtype == np.int64
+        assert got.shape == want.shape == (16, 16) and (got == want).all()
+
+    def test_delayed_reduction_of_large_entries(self):
+        # entries at the bottom of int64 would wrap on the first update
+        # unless the input is reduced first
+        rng = np.random.default_rng(13)
+        mat = np.iinfo(np.int64).min + rng.integers(0, 50, size=(60, 12))
+        for p in (3, 7):
+            want = _column_loop_echelon(mat, p)
+            assert (fin.row_echelon_mod_p(mat, p) == want).all()
+
     def test_aug_dims_use_module_row_echelon(self, monkeypatch):
         # bench/tracing.py hooks the elimination through the module attribute
         calls = []
@@ -447,6 +502,39 @@ class TestIndependence:
             assert fin.subgroup_closure(group, group.generators()) == frozenset(
                 range(group.order)
             )
+
+
+class TestAugmentationStacks:
+    """Every stack that group_algebra_aug_dims eliminates, against the
+    test-local column loop."""
+
+    GROUPS = dict(
+        _small_groups(),
+        **{"U(3,5)": fin.unitriangular_group(3, 5), "U(3,7)": fin.unitriangular_group(3, 7)},
+    )
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_stacks_match_column_loop(self, monkeypatch, name):
+        group = self.GROUPS[name]
+        p = group.p
+        stacks = []
+        echelon = fin.row_echelon_mod_p
+
+        def recording(mat, prime):
+            stacks.append(mat.copy())
+            return echelon(mat, prime)
+
+        monkeypatch.setattr(fin, "row_echelon_mod_p", recording)
+        dims = fin.group_algebra_aug_dims(group, group.order)
+        assert sum(dims) == group.order and stacks
+        for mat in stacks:
+            # handed over unreduced, in the narrow dtype
+            assert mat.dtype == np.min_scalar_type(2 * p) and int(mat.max()) < 2 * p
+            want = _column_loop_echelon(mat, p)
+            got = echelon(mat, p)
+            assert got.dtype == np.int64 and got.shape[0] == want.shape[0]
+            if p > 2:
+                assert (got == want).all()
 
 
 def test_u6_f2_filtration_is_fast():
