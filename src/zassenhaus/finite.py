@@ -346,14 +346,16 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 
     Accepts any integer dtype and returns int64.  The input need not be
     reduced: the elimination reduces it itself.  At p = 2 the rows are
-    bit-packed and eliminated by XOR (see _row_echelon_gf2).  At odd p the
-    rows are widened to int64 and one column is cleared at a time, with the
-    reduction mod p delayed (Dumas, Giorgi & Pernet, ISSAC 2004): only the
-    pivot column and the pivot row are reduced, and a pivot subtracts at
-    most (p - 1)^2 from an entry of a row below it.  After k pivots without
-    a reduction every other entry lies in (-k (p - 1)^2, p); the rows below
-    are reduced again only before that bound would pass 2^62, so no int64
-    wraps for p < 2^31.  The returned rows are reduced once, at the end,
+    bit-packed and eliminated by XOR (see _row_echelon_gf2).  At odd p one
+    column is cleared at a time, with the reduction mod p delayed (Dumas,
+    Giorgi & Pernet, ISSAC 2004): only the pivot column and the pivot row
+    are reduced, and a pivot subtracts at most (p - 1)^2 from an entry of a
+    row below it.  After k pivots without a reduction every other entry lies
+    in (-k (p - 1)^2, p); the rows below are reduced again only before that
+    bound would pass a quarter of the range of the signed type the rows are
+    held in.  That type is the narrowest of int16, int32 and int64 whose
+    limit, 2^14, 2^30 or 2^62, holds p + (p - 1)^2, so the elimination is
+    exact for p < 2^31.  The returned rows are reduced once, at the end,
     and equal those of a loop that reduces after every pivot.
     """
     m = np.asarray(mat)
@@ -363,8 +365,12 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("matrix expected")
     if p == 2:
         return _row_echelon_gf2(m)
-    m = m.astype(np.int64) % p
     step = (p - 1) ** 2
+    for dtype in (np.int16, np.int32, np.int64):
+        limit = 1 << (np.iinfo(dtype).bits - 2)
+        if p + step <= limit:
+            break
+    m = (m.astype(np.int64) % p).astype(dtype)
     bound = p  # every entry of the unreduced rows lies in (-bound, bound)
     rank = 0
     rows, cols = m.shape
@@ -384,14 +390,14 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         m[rank, col:] = pivot_row
         hits = np.nonzero(column[1:])[0]
         if hits.size:
-            if bound + step > 1 << 62:
+            if bound + step > limit:
                 m[rank + 1 :, col:] %= p
                 bound = p
             below = rank + 1 + hits
             m[below, col:] -= np.outer(column[1 + hits], pivot_row)
             bound += step
         rank += 1
-    return m[:rank] % p
+    return (m[:rank] % p).astype(np.int64)
 
 
 def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:

@@ -363,10 +363,12 @@ class TestGroupAlgebra:
             assert got.dtype == np.int64
             assert got.shape == want.shape and (got == want).all()
 
-    def test_delayed_reduction_at_large_prime(self):
-        # (p - 1)^2 is just under 2^62, so the rows below are reduced again
-        # before every update but the first; without that they wrap int64
-        p = 2147483647
+    @pytest.mark.parametrize("p", [127, 131, 32749, 32771, 2147483647])
+    def test_delayed_reduction_at_large_prime(self, p):
+        # the largest and smallest primes eliminated in int16, int32 and
+        # int64: at 127, 32749 and 2147483647, p + (p - 1)^2 just fits a
+        # quarter of the range, so the rows below are reduced again before
+        # every update but the first; without that they wrap
         rng = np.random.default_rng(11)
         mat = rng.integers(0, 2 * p, size=(24, 16))
         want = _column_loop_echelon(mat, p)
