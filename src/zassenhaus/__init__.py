@@ -5,87 +5,73 @@ Demushkin, semidirect and direct/free products of these); dimensions come
 from exact power series arithmetic over the rationals, with Hall commutator
 bases for the free case and brute-force finite-group oracles for
 cross-checking.
+
+The names below load their submodule on first use (PEP 562), so importing
+one submodule, such as ``zassenhaus.finite``, compiles none of the others.
 """
-from .dimensions import (
-    DimensionTable,
-    NegativeDimension,
-    NonIntegralW,
-    c_sequence,
-    dims_table,
-    min_generators,
-    w_demushkin_closed,
-    w_free_closed,
-    w_sequence,
-)
-from .groupspec import (
-    Cyclic,
-    Demushkin,
-    DirectProduct,
-    Free,
-    FreeProduct,
-    GroupSpec,
-    ParseError,
-    SuperPyth,
-    ValidationError,
-    Zp,
-    closed_form,
-    hp_series,
-    parse_group_spec,
-    to_text,
-    validate,
-)
-from .hall import (
-    BasisElement,
-    Bracket,
-    Generator,
-    basis_text_lines,
-    hall_commutators,
-    zassenhaus_basis,
-)
-from .series import (
-    RationalFunction,
-    TruncPoly,
-    TruncSeries,
-    expand_rational,
-    product_identity_rhs,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisElement",
-    "Bracket",
-    "Cyclic",
-    "Demushkin",
-    "DimensionTable",
-    "DirectProduct",
-    "Free",
-    "FreeProduct",
-    "Generator",
-    "GroupSpec",
-    "NegativeDimension",
-    "NonIntegralW",
-    "ParseError",
-    "RationalFunction",
-    "SuperPyth",
-    "TruncPoly",
-    "TruncSeries",
-    "ValidationError",
-    "Zp",
-    "basis_text_lines",
-    "c_sequence",
-    "closed_form",
-    "dims_table",
-    "expand_rational",
-    "hall_commutators",
-    "hp_series",
-    "min_generators",
-    "parse_group_spec",
-    "product_identity_rhs",
-    "to_text",
-    "validate",
-    "w_demushkin_closed",
-    "w_free_closed",
-    "w_sequence",
-    "zassenhaus_basis",
-]
+_EXPORTS = {
+    "dimensions": (
+        "DimensionTable",
+        "NegativeDimension",
+        "NonIntegralW",
+        "c_sequence",
+        "dims_table",
+        "min_generators",
+        "w_demushkin_closed",
+        "w_free_closed",
+        "w_sequence",
+    ),
+    "groupspec": (
+        "Cyclic",
+        "Demushkin",
+        "DirectProduct",
+        "Free",
+        "FreeProduct",
+        "GroupSpec",
+        "ParseError",
+        "SuperPyth",
+        "ValidationError",
+        "Zp",
+        "closed_form",
+        "hp_series",
+        "parse_group_spec",
+        "to_text",
+        "validate",
+    ),
+    "hall": (
+        "BasisElement",
+        "Bracket",
+        "Generator",
+        "basis_text_lines",
+        "hall_commutators",
+        "zassenhaus_basis",
+    ),
+    "series": (
+        "RationalFunction",
+        "TruncPoly",
+        "TruncSeries",
+        "expand_rational",
+        "product_identity_rhs",
+    ),
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -21,19 +21,13 @@ import csv
 import io
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import verify as verify_mod
-from .dimensions import NegativeDimension, NonIntegralW, dims_table
-from .groupspec import (
-    ParseError,
-    ValidationError,
-    closed_form,
-    hp_series,
-    parse_group_spec,
-    to_text,
-)
-from .hall import basis_json_dict, basis_text_lines, zassenhaus_basis
-from .series import NonIntegralLog, format_poly
+# Each command imports the program modules it runs, when it runs, so one
+# launch loads only what its command needs; numpy loads with the finite
+# suite alone.
+if TYPE_CHECKING:
+    from .verify import CheckResult
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -68,6 +62,9 @@ def _csv_lines(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[st
 
 
 def cmd_dims(args: argparse.Namespace) -> list[str]:
+    from .dimensions import dims_table
+    from .groupspec import parse_group_spec, to_text
+
     spec = parse_group_spec(args.spec)
     table = dims_table(spec, args.prime, args.max_n)
     n_max = args.max_n
@@ -98,6 +95,9 @@ def cmd_dims(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_series(args: argparse.Namespace) -> list[str]:
+    from .groupspec import closed_form, hp_series, parse_group_spec, to_text
+    from .series import format_poly
+
     spec = parse_group_spec(args.spec)
     if args.closed_form:
         recipe = closed_form(spec, args.prime)
@@ -138,6 +138,8 @@ def cmd_series(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_basis(args: argparse.Namespace) -> list[str]:
+    from .hall import basis_json_dict, basis_text_lines, zassenhaus_basis
+
     basis = zassenhaus_basis(args.rank, args.prime, args.degree)
     if args.format == "json":
         payload = basis_json_dict(args.rank, args.prime, args.degree, basis)
@@ -152,12 +154,14 @@ def cmd_basis(args: argparse.Namespace) -> list[str]:
     return lines + [f"count = {len(basis)}"]
 
 
-def _suite_checks(suite: str, args: argparse.Namespace) -> list[verify_mod.CheckResult]:
+def _suite_checks(suite: str, args: argparse.Namespace) -> list[CheckResult]:
+    from . import verify
+
     if suite == "roundtrip":
-        return verify_mod.roundtrip_checks(args.prime, args.max_n)
+        return verify.roundtrip_checks(args.prime, args.max_n)
     if suite == "closedforms":
-        return verify_mod.closedform_checks(args.prime, args.max_n)
-    return verify_mod.finite_checks(args.include_slow)
+        return verify.closedform_checks(args.prime, args.max_n)
+    return verify.finite_checks(args.include_slow)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -243,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    from .dimensions import NegativeDimension, NonIntegralW
+    from .groupspec import ParseError, ValidationError
+    from .series import NonIntegralLog
 
     # compute everything before printing so errors never leave partial output
     try:

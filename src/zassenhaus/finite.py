@@ -355,7 +355,8 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     bound would pass a quarter of the range of the signed type the rows are
     held in.  That type is the narrowest of int16, int32 and int64 whose
     limit, 2^14, 2^30 or 2^62, holds p + (p - 1)^2, so the elimination is
-    exact for p < 2^31.  The returned rows are reduced once, at the end,
+    exact for p < 2^31.  A larger odd p, whose p + (p - 1)^2 passes 2^62,
+    raises ValueError.  The returned rows are reduced once, at the end,
     and equal those of a loop that reduces after every pivot.
     """
     m = np.asarray(mat)
@@ -370,6 +371,10 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         limit = 1 << (np.iinfo(dtype).bits - 2)
         if p + step <= limit:
             break
+    else:
+        raise ValueError(
+            f"row_echelon_mod_p: p = {p} is too large, p + (p - 1)^2 must be at most 2^62"
+        )
     m = (m.astype(np.int64) % p).astype(dtype)
     bound = p  # every entry of the unreduced rows lies in (-bound, bound)
     rank = 0

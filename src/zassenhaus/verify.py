@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from typing import TYPE_CHECKING
 
-from . import finite as fin
 from .dimensions import (
     dims_table,
     power_sums_free_product_cp,
@@ -29,6 +29,10 @@ from .groupspec import (
     parse_group_spec,
 )
 from .series import RationalFunction, TruncPoly, expand_rational, product_identity_rhs
+
+# the finite suite alone needs numpy: its functions import finite when called
+if TYPE_CHECKING:
+    from . import finite as fin
 
 
 @dataclass(frozen=True)
@@ -248,6 +252,8 @@ def _dims_until_trivial(result: fin.FiltrationResult) -> list[int]:
 
 def _check_jl_finite(name: str, group: fin.FiniteGroup, depth: int) -> CheckResult:
     """Group algebra filtration vs the polynomial built from subgroup dims."""
+    from . import finite as fin
+
     filt = fin.zassenhaus_filtration_finite(group, depth)
     if len(filt.subgroups[-1]) != 1:
         return CheckResult(name, False, f"filtration not exhausted at depth {depth}")
@@ -261,6 +267,8 @@ def _check_jl_finite(name: str, group: fin.FiniteGroup, depth: int) -> CheckResu
 
 def group_algebra_cases(include_slow: bool = False) -> list[tuple[str, fin.FiniteGroup, int]]:
     """(label, group, filtration depth) of each group-algebra check."""
+    from . import finite as fin
+
     c2 = fin.cyclic_group(2)
     cases = [
         ("cyclic(2)", c2, 3),
@@ -278,6 +286,8 @@ def group_algebra_cases(include_slow: bool = False) -> list[tuple[str, fin.Finit
 
 
 def finite_checks(include_slow: bool = False) -> list[CheckResult]:
+    from . import finite as fin
+
     out = []
 
     # central series landing: dim G_(n) / G_(n+1) = 1 and G_(n+1) = 1

@@ -9,6 +9,8 @@ from pathlib import Path
 import pytest
 
 import zassenhaus
+import zassenhaus.dimensions
+import zassenhaus.verify
 from zassenhaus import cli
 from zassenhaus.dimensions import NonIntegralW
 from zassenhaus.groupspec import parse_group_spec
@@ -149,7 +151,7 @@ class TestVerify:
 
     def test_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.verify_mod,
+            zassenhaus.verify,
             "roundtrip_checks",
             lambda p, n: [CheckResult("bogus", False, "spec=s n=1 expected=1 got=2")],
         )
@@ -160,7 +162,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_n", [0, 1, 2])
     def test_small_max_n(self, capsys, monkeypatch, max_n):
         monkeypatch.setattr(
-            cli.verify_mod, "finite_checks", lambda slow: [CheckResult("stub", True)]
+            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("stub", True)]
         )
         code, out, err = run(["verify", "--suite", "all", "--max-n", str(max_n)], capsys)
         assert code == 0 and err == ""
@@ -171,7 +173,7 @@ class TestVerify:
     def test_json_format(self, capsys, monkeypatch):
         # the finite suite has its own test; a stub keeps this one fast
         monkeypatch.setattr(
-            cli.verify_mod, "finite_checks", lambda slow: [CheckResult("stub", True)]
+            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("stub", True)]
         )
         code, out, err = run(
             ["verify", "--suite", "all", "--max-n", "6", "--format", "json"], capsys
@@ -189,7 +191,7 @@ class TestVerify:
 
     def test_csv_format_on_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.verify_mod,
+            zassenhaus.verify,
             "roundtrip_checks",
             lambda p, n: [
                 CheckResult("fine", True),
@@ -207,7 +209,7 @@ class TestVerify:
 
     def test_json_format_on_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli.verify_mod,
+            zassenhaus.verify,
             "roundtrip_checks",
             lambda p, n: [CheckResult("bogus", False, "spec=s n=1 expected=1 got=2")],
         )
@@ -247,7 +249,7 @@ class TestExitCodes:
         def explode(spec, p, order):
             raise NonIntegralW(3, Fraction(1, 3))
 
-        monkeypatch.setattr(cli, "dims_table", explode)
+        monkeypatch.setattr(zassenhaus.dimensions, "dims_table", explode)
         code, out, err = run(["dims", "free(2)"], capsys)
         assert code == 4 and out == "" and "integrality error" in err
 
@@ -255,7 +257,7 @@ class TestExitCodes:
         def explode(spec, p, order):
             raise NonIntegralLog(2, Fraction(1, 2))
 
-        monkeypatch.setattr(cli, "dims_table", explode)
+        monkeypatch.setattr(zassenhaus.dimensions, "dims_table", explode)
         code, out, err = run(["dims", "free(2)"], capsys)
         assert code == 4 and out == "" and "integrality error" in err
 

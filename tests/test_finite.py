@@ -376,6 +376,15 @@ class TestGroupAlgebra:
         assert got.dtype == np.int64
         assert got.shape == want.shape == (16, 16) and (got == want).all()
 
+    def test_prime_past_int64_rows_raises(self):
+        # p + (p - 1)^2 > 2^62: no row type holds one update; in int64 the
+        # rows of this matrix wrap into an echelon form that differs from
+        # _column_loop_echelon, with no error
+        p = 4294967311
+        mat = np.random.default_rng(11).integers(0, p, size=(24, 16))
+        with pytest.raises(ValueError, match=r"p = 4294967311 .*2\^62"):
+            fin.row_echelon_mod_p(mat, p)
+
     def test_delayed_reduction_of_large_entries(self):
         # entries at the bottom of int64 would wrap on the first update
         # unless the input is reduced first
