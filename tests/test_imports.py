@@ -100,16 +100,6 @@ def test_package_names_resolve_on_first_use():
     assert {"dims_table", "hp_series", "zassenhaus_basis", "TruncSeries"} <= set(out["all"])
 
 
-def test_package_names_are_the_submodule_objects():
-    import zassenhaus
-    from zassenhaus import dimensions, groupspec, hall, series
-
-    assert zassenhaus.dims_table is dimensions.dims_table
-    assert zassenhaus.ParseError is groupspec.ParseError
-    assert zassenhaus.zassenhaus_basis is hall.zassenhaus_basis
-    assert zassenhaus.TruncSeries is series.TruncSeries
-
-
 def test_bench_tracer_hooks_resolve_and_record():
     out = _run(f"""
         import contextlib, importlib.util, io, json, sys
