@@ -238,6 +238,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_error(exc: ValueError) -> int:
+    """Print one stderr line for a failed command and return its exit code."""
+    # the typed errors load here, on the error path, so no command pays for
+    # modules it does not run
+    from .dimensions import NegativeDimension, NonIntegralW
+    from .groupspec import ParseError
+    from .series import NonIntegralLog
+
+    if isinstance(exc, ParseError):
+        print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if isinstance(exc, (NonIntegralW, NegativeDimension, NonIntegralLog)):
+        print(f"integrality error: {exc}", file=sys.stderr)
+        return EXIT_INTEGRALITY
+    print(f"validation error: {exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv: list[str] | None = None) -> int:
     # coefficients are exact and may run past the default 4300 printable digits
     if hasattr(sys, "set_int_max_str_digits"):
@@ -247,9 +265,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    from .dimensions import NegativeDimension, NonIntegralW
-    from .groupspec import ParseError, ValidationError
-    from .series import NonIntegralLog
 
     # compute everything before printing so errors never leave partial output
     try:
@@ -261,18 +276,8 @@ def main(argv: list[str] | None = None) -> int:
             lines, code = cmd_basis(args), EXIT_OK
         else:
             lines, code = cmd_verify(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (NonIntegralW, NegativeDimension, NonIntegralLog) as exc:
-        print(f"integrality error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRALITY
-    except ValidationError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return _report_error(exc)
 
     for line in lines:
         print(line)

@@ -16,16 +16,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
-from .series import (
-    RationalFunction,
-    TruncPoly,
-    TruncSeries,
-    expand_rational,
-)
+from .series import RationalFunction, TruncPoly, TruncSeries
 
 
 @dataclass(frozen=True)
@@ -327,49 +322,88 @@ def validate(spec: GroupSpec, p: int) -> None:
                 )
 
 
-def _leaf_rational(leaf, p: int) -> RationalFunction | None:
-    """The leaf's series as a rational function; None for superpyth."""
+def _one_minus_t_power(e: int, size: int) -> list[int]:
+    """Coefficients of (1 - t)^e for e >= 0, cut after `size` terms.
+
+    Term k is (-1)^k C(e, k), reached from term k - 1 by one exact step.
+    """
+    out = [1]
+    for k in range(1, min(e + 1, size)):
+        out.append(out[-1] * (k - 1 - e) // k)
+    return out
+
+
+def _leaf_pair(leaf, p: int, size: int | None = None) -> tuple[tuple, tuple] | None:
+    """The leaf's series as unreduced (num, den) coefficients, low degree first,
+    each cut after `size` terms if given; None for superpyth."""
     if isinstance(leaf, Free):
-        return RationalFunction([1], [1, -leaf.rank])
-    if isinstance(leaf, Cyclic):
-        return RationalFunction([1] * p, [1])
-    if isinstance(leaf, Demushkin):
-        return RationalFunction([1], [1, -leaf.rank, 1])
-    if isinstance(leaf, Zp):
-        return RationalFunction([1], TruncPoly([1, -1]) ** leaf.rank)
-    return None
+        num, den = [1], [1, -leaf.rank]
+    elif isinstance(leaf, Cyclic):
+        num, den = [1] * min(p, size or p), [1]
+    elif isinstance(leaf, Demushkin):
+        num, den = [1], [1, -leaf.rank, 1]
+    elif isinstance(leaf, Zp):
+        num, den = [1], _one_minus_t_power(leaf.rank, size or leaf.rank + 1)
+    else:
+        return None
+    return tuple(num[:size]), tuple(den[:size])
+
+
+def _mul(a: tuple, b: tuple, size: int) -> tuple:
+    """The product of two coefficient tuples, cut after `size` terms."""
+    if len(a) > len(b):
+        a, b = b, a
+    out = [0] * min(len(a) + len(b) - 1, size)
+    for i, x in enumerate(a[:size]):
+        if x:
+            seg = b[:size - i]
+            end = i + len(seg)
+            out[i:end] = [o + x * y for o, y in zip(out[i:end], seg)]
+    return tuple(out)
+
+
+def _plus_multiple(a: tuple, m: int, b: tuple) -> tuple:
+    """a + m * b, coefficientwise."""
+    return tuple(x + m * y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
     """P(t): the Hilbert series of the graded completed group algebra over F_p.
 
-    Leaves get their known series; a free product of k factors composes by
-    P = (P_1^-1 + ... + P_k^-1 - (k - 1))^-1, with one inverse per distinct
-    factor series in the whole expression, and a direct product multiplies.
+    The expression folds into one fraction num / den of integer polynomials
+    cut after t^order, each with constant term 1, and P is one division.
+    Leaves give their known fractions. A direct product multiplies, and a
+    free product of k factors composes by P^-1 = P_1^-1 + ... + P_k^-1 - (k - 1),
+    summed over the distinct factors with their multiplicities.
     """
     validate(spec, p)
-    inverse = cache(TruncSeries.inverse)
+    size = order + 1
 
     def leaf(x):
         if not isinstance(x, SuperPyth):
-            return expand_rational(_leaf_rational(x, p), order)
-        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** x.rank), order)
-        for k in range(3, order + 1, 2):
-            s = s / TruncPoly([1] + [0] * (k - 1) + [-1])
-        return s
+            return _leaf_pair(x, p, size)
+        # (1 + t) / ((1 - t)^d prod_{odd 3 <= k <= order} (1 - t^k))
+        den = _one_minus_t_power(x.rank, size)
+        den += [0] * (size - len(den))
+        for k in range(3, size, 2):
+            den[k:] = [a - b for a, b in zip(den[k:], den)]
+        return (1, 1)[:size], tuple(den)
 
     def node(kind, factors):
         if kind is FreeProduct:
-            inv = TruncSeries(order, [1 - len(factors)])
-            for q, m in Counter(factors).items():
-                inv = inv + m * inverse(q)
-            return inv.inverse()
-        s = TruncSeries.one(order)
-        for f in factors:
-            s = s * f
-        return s
+            # P^-1 = A / B, built up one distinct factor num / den at a time
+            a, b = (1 - len(factors),), (1,)
+            for (num, den), m in Counter(factors).items():
+                a = _plus_multiple(_mul(a, num, size), m, _mul(den, b, size))
+                b = _mul(b, num, size)
+            return b, a
+        num, den = (1,), (1,)
+        for f_num, f_den in factors:
+            num, den = _mul(num, f_num, size), _mul(den, f_den, size)
+        return num, den
 
-    return _fold(spec, leaf, node)
+    num, den = _fold(spec, leaf, node)
+    return TruncSeries(order, num) / TruncPoly(den)
 
 
 @dataclass(frozen=True)
@@ -406,7 +440,11 @@ def closed_form(spec: GroupSpec, p: int) -> SeriesRecipe:
             rf = rf * r
         return rf
 
-    rf = _fold(spec, lambda leaf: _leaf_rational(leaf, p), node)
+    def leaf(x):
+        pair = _leaf_pair(x, p)
+        return None if pair is None else RationalFunction(*pair)
+
+    rf = _fold(spec, leaf, node)
     if rf is not None:
         return SeriesRecipe(rational=rf, product_form=None)
     if isinstance(spec, SuperPyth):

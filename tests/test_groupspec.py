@@ -1,6 +1,8 @@
 """Expression language: parsing, validation, series evaluation."""
 import sys
+from collections import Counter
 from dataclasses import make_dataclass
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from zassenhaus.groupspec import (
     SuperPyth,
     ValidationError,
     Zp,
+    _fold,
     closed_form,
     hp_series,
     parse_group_spec,
@@ -32,6 +35,7 @@ from zassenhaus.series import (
     expand_rational,
     format_poly,
 )
+from zassenhaus.verify import builtin_specs
 
 
 def nest(levels):
@@ -293,18 +297,25 @@ class TestClosedForm:
             assert expand_rational(recipe.rational, 12) == hp_series(spec, 2, 12)
 
 
+def _count_series_arithmetic(monkeypatch) -> list:
+    """Record every TruncSeries inverse, multiply and power from now on."""
+    calls = []
+    for name in ("inverse", "__mul__", "__rmul__", "__pow__"):
+        method = getattr(TruncSeries, name)
+
+        def counted(*args, _name=name, _method=method):
+            calls.append(_name)
+            return _method(*args)
+
+        monkeypatch.setattr(TruncSeries, name, counted)
+    return calls
+
+
 class TestBottomUpWalk:
-    def test_one_inverse_per_distinct_free_factor(self, monkeypatch):
-        calls = []
-        inverse = TruncSeries.inverse
-
-        def counted(self):
-            calls.append(self)
-            return inverse(self)
-
-        monkeypatch.setattr(TruncSeries, "inverse", counted)
+    def test_free_product_chain_takes_no_series_inverse(self, monkeypatch):
+        calls = _count_series_arithmetic(monkeypatch)
         s = hp_series(FreeProduct(*[Cyclic(2)] * 1200), 2, 8)
-        assert len(calls) == 2
+        assert calls == []
         # P = (1 + t) / (1 - 1199t)
         assert s.int_coeffs()[:3] == [1, 1200, 1200 * 1199]
 
@@ -325,18 +336,11 @@ class TestBottomUpWalk:
         # every free(1) adds one generator through either product
         assert hp_series(spec, 2, 8)[1] == 5001
 
-    def test_one_inverse_per_distinct_factor_in_whole_fold(self, monkeypatch):
-        calls = []
-        inverse = TruncSeries.inverse
-
-        def counted(self):
-            calls.append(self)
-            return inverse(self)
-
-        monkeypatch.setattr(TruncSeries, "inverse", counted)
+    def test_deep_fold_takes_no_series_inverse(self, monkeypatch):
+        calls = _count_series_arithmetic(monkeypatch)
         assert hp_series(nest_by_hand(5000), 2, 8)[1] == 5001
-        # free(1) is inverted once for all 2500 free products, not once each
-        assert len(calls) <= 5000
+        # the fold works on integer pairs and divides once, at the end
+        assert calls == []
 
     def test_closed_form_600_alternations(self):
         spec = nest_by_hand(600)
@@ -397,3 +401,68 @@ class TestRandomTrees:
         recipe = closed_form(spec, p)
         if recipe.is_rational:
             assert hp_series(spec, p, 10) == expand_rational(recipe.rational, 10)
+
+
+def _inverse_based_hp_series(spec, p, order):
+    """hp_series as it stood before the pair fold, kept as a reference.
+
+    Each leaf is a Fraction series, a free product takes one series inverse
+    per distinct factor, and a direct product multiplies series.
+    """
+    validate(spec, p)
+    inverse = cache(TruncSeries.inverse)
+
+    def leaf(x):
+        if isinstance(x, Free):
+            return expand_rational(RationalFunction([1], [1, -x.rank]), order)
+        if isinstance(x, Cyclic):
+            return expand_rational(RationalFunction([1] * p, [1]), order)
+        if isinstance(x, Demushkin):
+            return expand_rational(RationalFunction([1], [1, -x.rank, 1]), order)
+        if isinstance(x, Zp):
+            return expand_rational(RationalFunction([1], TruncPoly([1, -1]) ** x.rank), order)
+        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** x.rank), order)
+        for k in range(3, order + 1, 2):
+            s = s / TruncPoly([1] + [0] * (k - 1) + [-1])
+        return s
+
+    def node(kind, factors):
+        if kind is FreeProduct:
+            inv = TruncSeries(order, [1 - len(factors)])
+            for q, m in Counter(factors).items():
+                inv = inv + m * inverse(q)
+            return inv.inverse()
+        s = TruncSeries.one(order)
+        for f in factors:
+            s = s * f
+        return s
+
+    return _fold(spec, leaf, node)
+
+
+class TestPairFoldMatchesInverses:
+    """The integer pair fold gives the inverse-based series coefficient for coefficient."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_prime_and_tree, st.integers(0, 30))
+    def test_random_trees(self, case, order):
+        p, spec = case
+        assert hp_series(spec, p, order) == _inverse_based_hp_series(spec, p, order)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_catalog(self, p):
+        for text, spec in builtin_specs(p):
+            assert hp_series(spec, p, 60) == _inverse_based_hp_series(spec, p, 60), text
+
+    @pytest.mark.parametrize("d", range(5))
+    def test_superpyth(self, d):
+        spec = SuperPyth(d)
+        assert hp_series(spec, 2, 120) == _inverse_based_hp_series(spec, 2, 120)
+
+    def test_repeated_free_factors_and_products_of_products(self):
+        # multiplicities above 1 and free products inside free products
+        # through a direct product
+        spec = parse_group_spec(
+            "cyclic(3) * cyclic(3) * free(1) * (demushkin(2) x (cyclic(3) * zp(2)))"
+        )
+        assert hp_series(spec, 3, 30) == _inverse_based_hp_series(spec, 3, 30)
