@@ -458,11 +458,3 @@ class TestPairFoldMatchesInverses:
     def test_superpyth(self, d):
         spec = SuperPyth(d)
         assert hp_series(spec, 2, 120) == _inverse_based_hp_series(spec, 2, 120)
-
-    def test_repeated_free_factors_and_products_of_products(self):
-        # multiplicities above 1 and free products inside free products
-        # through a direct product
-        spec = parse_group_spec(
-            "cyclic(3) * cyclic(3) * free(1) * (demushkin(2) x (cyclic(3) * zp(2)))"
-        )
-        assert hp_series(spec, 3, 30) == _inverse_based_hp_series(spec, 3, 30)
