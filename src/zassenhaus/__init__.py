@@ -2,7 +2,8 @@
 
 Groups are described by a small expression language (free, cyclic,
 Demushkin, semidirect and direct/free products of these); dimensions come
-from exact power series arithmetic over the rationals, with Hall commutator
+from exact arithmetic, with integer polynomials and rational functions in
+Z[t] and power series truncated over the rationals, with Hall commutator
 bases for the free case and brute-force finite-group oracles for
 cross-checking.
 

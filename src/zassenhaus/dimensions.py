@@ -159,15 +159,11 @@ def w_free_closed(d: int, n: int) -> int:
     """Necklace count (1/n) sum_{m | n} mu(m) d^(n/m): free-group exponents."""
     if d < 0 or n < 1:
         raise ValueError("need d >= 0 and n >= 1")
-    acc = Fraction(0)
-    for m in divisors(n):
-        mu = moebius(m)
-        if mu:
-            acc += mu * Fraction(d) ** (n // m)
-    acc /= n
-    if acc.denominator != 1:
-        raise NonIntegralW(n, acc)
-    return acc.numerator
+    total = sum(mu * d ** (n // m) for m in divisors(n) if (mu := moebius(m)))
+    w, r = divmod(total, n)
+    if r:
+        raise NonIntegralW(n, Fraction(total, n))
+    return w
 
 
 def demushkin_power_sum(d: int, m: int) -> int:
@@ -186,15 +182,13 @@ def w_demushkin_power_sum(d: int, n: int) -> int:
     """Demushkin exponents via power sums: (1/n) sum mu(n/m) s_m."""
     if n < 1:
         raise ValueError("need n >= 1")
-    acc = Fraction(0)
-    for m in divisors(n):
-        mu = moebius(n // m)
-        if mu:
-            acc += mu * demushkin_power_sum(d, m)
-    acc /= n
-    if acc.denominator != 1:
-        raise NonIntegralW(n, acc)
-    return acc.numerator
+    total = sum(
+        mu * demushkin_power_sum(d, m) for m in divisors(n) if (mu := moebius(n // m))
+    )
+    w, r = divmod(total, n)
+    if r:
+        raise NonIntegralW(n, Fraction(total, n))
+    return w
 
 
 def w_demushkin_closed(d: int, n: int) -> int:

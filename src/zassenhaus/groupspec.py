@@ -186,9 +186,12 @@ def _tokenize(text: str):
             tokens.append(("int", text[i:j], i))
             i = j
         elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = i + 1
+            # Only an operator may follow ')', so an 'x' there is one even
+            # when a leaf name is glued to it, as in 'free(1)xcyclic(2)'.
+            if not (ch == "x" and tokens and tokens[-1][0] == "rparen"):
+                while j < n and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
             tokens.append(("name", text[i:j], i))
             i = j
         else:

@@ -1,19 +1,21 @@
 """Exact truncated power series over Q, integer polynomials, and their ratios.
 
-All arithmetic uses fractions.Fraction or arbitrary-precision int; no floats.
+No floats: polynomials and rational functions live in Z[t] with
+arbitrary-precision int, and only the truncated series use fractions.Fraction.
 A TruncSeries carries its truncation order and raises instead of inventing
 coefficients past it, and binary operations only ever claim the order both
 operands support.
 
 Every series quotient is one recurrence, _quotient: the inverse is 1 / a, the
 logarithm integrates a' / a, expand_rational is num / den, and a series
-divides by a polynomial such as 1 - t^k. Polynomial long division over Q is
-likewise one routine, _poly_divmod, behind both poly_gcd and exact division.
+divides by a polynomial such as 1 - t^k. Polynomial division is likewise one
+integer pseudo-division, _pseudo_divmod, behind both poly_gcd and exact
+division.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Iterable, Sequence, Union
 
 from .numtheory import is_prime
@@ -59,8 +61,6 @@ def _as_int(x) -> int:
         raise TypeError("bool is not a coefficient")
     if isinstance(x, int):
         return x
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return x.numerator
     raise TypeError(f"integer coefficient expected, got {x!r}")
 
 
@@ -73,7 +73,7 @@ class TruncPoly:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         cs = [_as_int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
@@ -155,64 +155,59 @@ class TruncPoly:
         return f"TruncPoly({list(self._coeffs)})"
 
 
-def _content(p: TruncPoly) -> int:
-    return gcd(*p.coeffs)
+def _primitive(coeffs: Sequence[int]) -> TruncPoly:
+    """Divide stripped integer coefficients by their content; leading one > 0."""
+    g = gcd(*coeffs)
+    if coeffs and coeffs[-1] < 0:
+        g = -g
+    return TruncPoly(c // g for c in coeffs) if g else TruncPoly()
 
 
-def _primitive(coeffs: Sequence[Fraction]) -> TruncPoly:
-    """Scale a rational-coefficient polynomial to a primitive integer one."""
-    cs = [Fraction(c) for c in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if not cs:
-        return TruncPoly()
-    den_lcm = lcm(*(c.denominator for c in cs))
-    ints = [int(c * den_lcm) for c in cs]
-    g = gcd(*ints)
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return TruncPoly(ints)
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], bool]:
+    """q, r and whether m > 1 in m a = q b + r, for b[-1] != 0, in Z[t].
 
-
-def _poly_divmod(a: Sequence, b: Sequence) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b over Q, coefficients low degree first.
-
-    b must have a nonzero leading coefficient; the remainder comes back with
-    trailing zeros stripped, so it is empty exactly when b divides a.
+    A step whose leading remainder coefficient b[-1] does not divide first
+    scales the remainder and the quotient so far by |b[-1]| / gcd, so m = 1
+    exactly when no step scaled. r is stripped: empty exactly when b | a.
     """
-    rem = [Fraction(c) for c in a]
-    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    rem, lead = list(a), b[-1]
+    quot = [0] * max(len(rem) - len(b) + 1, 0)
+    scaled = False
     while True:
         while rem and rem[-1] == 0:
             rem.pop()
         if len(rem) < len(b):
-            return quot, rem
-        q = rem[-1] / b[-1]
+            return quot, rem, scaled
+        if rem[-1] % lead:
+            s = abs(lead) // gcd(rem[-1], lead)
+            rem = [c * s for c in rem]
+            quot = [c * s for c in quot]
+            scaled = True
+        q = rem[-1] // lead
         shift = len(rem) - len(b)
         quot[shift] = q
-        for i, c in enumerate(b):
-            rem[shift + i] -= q * c
+        rem[shift:] = [x - q * y for x, y in zip(rem[shift:], b)]
 
 
 def poly_gcd(a: TruncPoly, b: TruncPoly) -> TruncPoly:
-    """Primitive gcd in Z[t], positive leading coefficient (Euclid over Q)."""
+    """Primitive gcd in Z[t], positive leading coefficient, by the primitive
+    remainder sequence; a nonzero constant remainder ends it with gcd 1."""
     fa, fb = a.coeffs, b.coeffs
-    while fb:
-        fa, fb = fb, _poly_divmod(fa, fb)[1]
-    return _primitive(fa)
+    while len(fb) > 1:
+        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1]).coeffs
+    return TruncPoly([1]) if fb else _primitive(fa)
 
 
 def _poly_divexact(a: TruncPoly, g: TruncPoly) -> TruncPoly:
     """Quotient a / g; raises ArithmeticError unless the division is exact over Z."""
     if g.degree < 0:
         raise ZeroDivisionError("division by zero polynomial")
-    quot, rem = _poly_divmod(a.coeffs, g.coeffs)
+    quot, rem, scaled = _pseudo_divmod(a.coeffs, g.coeffs)
     if rem:
         raise ArithmeticError("inexact polynomial division")
-    if any(c.denominator != 1 for c in quot):
+    if scaled:
         raise ArithmeticError("quotient is not integral")
-    return TruncPoly(c.numerator for c in quot)
+    return TruncPoly(quot)
 
 
 def _quotient(num: Sequence, den: Sequence, order: int) -> list[Fraction]:
@@ -258,7 +253,7 @@ class RationalFunction:
             if g.degree > 0:
                 num = _poly_divexact(num, g)
                 den = _poly_divexact(den, g)
-            k = gcd(_content(num), _content(den))
+            k = gcd(*num.coeffs, *den.coeffs)
             if k > 1:
                 num = TruncPoly(c // k for c in num.coeffs)
                 den = TruncPoly(c // k for c in den.coeffs)

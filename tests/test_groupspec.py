@@ -92,6 +92,13 @@ class TestParser:
         assert spec == nest_by_hand(2000)
         assert parse_group_spec(to_text(spec)) == spec
 
+    def test_direct_product_without_spaces(self):
+        spec = parse_group_spec("free(1)xcyclic(2)")
+        assert spec == parse_group_spec("free(1) x cyclic(2)")
+        assert parse_group_spec(to_text(spec)) == spec
+        got = parse_group_spec("(free(1)*zp(1))xdemushkin(2)xfree(2)")
+        assert got == DirectProduct(FreeProduct(Free(1), Zp(1)), Demushkin(2), Free(2))
+
     def test_redundant_parens_not_counted(self):
         depth = 1000
         assert parse_group_spec("(" * depth + "free(1)" + ")" * depth) == Free(1)

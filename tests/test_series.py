@@ -1,5 +1,6 @@
 """Exact polynomial / truncated series arithmetic."""
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from zassenhaus import finite, verify
 from zassenhaus.series import (
+    _poly_divexact,
     ConstantTermNotOne,
     NegativeExponent,
     NonIntegralLog,
@@ -47,10 +49,39 @@ class TestTruncPoly:
         with pytest.raises(TypeError):
             TruncPoly([True, 1])
 
+    def test_fraction_coefficient_rejected(self):
+        with pytest.raises(TypeError):
+            TruncPoly([1, Fraction(2)])
+
     def test_gcd_primitive(self):
         a = TruncPoly([2, 2])        # 2(1+t)
         b = TruncPoly([4, 0, -4])    # 4(1+t)(1-t)
         assert poly_gcd(a, b) == TruncPoly([1, 1])
+
+    def test_gcd_edge_cases(self):
+        assert poly_gcd(TruncPoly(), TruncPoly()) == TruncPoly()
+        assert poly_gcd(TruncPoly(), TruncPoly([0, -3, 6])) == TruncPoly([0, -1, 2])
+        assert poly_gcd(TruncPoly([1] * 50), TruncPoly([7])) == TruncPoly([1])
+        assert poly_gcd(TruncPoly([3]), TruncPoly([1, 1])) == TruncPoly([1])
+
+    def test_divexact(self):
+        assert _poly_divexact(TruncPoly([1, 2, 1]), TruncPoly([1, 1])) == TruncPoly([1, 1])
+        assert _poly_divexact(TruncPoly([6, 0, -6]), TruncPoly([-2, 2])) == TruncPoly([-3, -3])
+        assert _poly_divexact(TruncPoly(), TruncPoly([5, 1])) == TruncPoly()
+
+    def test_divexact_inexact(self):
+        with pytest.raises(ArithmeticError, match="^inexact polynomial division$"):
+            _poly_divexact(TruncPoly([1, 0, 1]), TruncPoly([1, 1]))
+
+    def test_divexact_not_integral(self):
+        with pytest.raises(ArithmeticError, match="^quotient is not integral$"):
+            _poly_divexact(TruncPoly([1]), TruncPoly([2]))
+        with pytest.raises(ArithmeticError, match="^quotient is not integral$"):
+            _poly_divexact(TruncPoly([1, 3, 2]), TruncPoly([2, 4]))
+
+    def test_divexact_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            _poly_divexact(TruncPoly([1, 1]), TruncPoly())
 
 
 class TestRationalFunction:
@@ -265,3 +296,93 @@ def test_pow_any_constant_term_is_repeated_multiplication(a0, tail):
     for e in range(10):
         assert s ** e == power
         power = power * s
+
+
+# the integer polynomial layer against two references: Euclid over Q in
+# Fraction arithmetic, and sympy's gcd
+
+
+def _ref_divmod(a, b):
+    """Quotient and remainder of a by b over Q, low degree first, remainder stripped."""
+    rem = [Fraction(c) for c in a]
+    quot = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    while True:
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) < len(b):
+            return quot, rem
+        q = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = q
+        for i, c in enumerate(b):
+            rem[shift + i] -= q * c
+
+
+def _ref_primitive(coeffs):
+    cs = [Fraction(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    if not cs:
+        return ()
+    ints = [int(c * lcm(*(c.denominator for c in cs))) for c in cs]
+    g = gcd(*ints) * (1 if ints[-1] > 0 else -1)
+    return tuple(c // g for c in ints)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_primitive(a)
+
+
+def _ref_reduce(num, den):
+    """Lowest terms of num / den by Euclid over Q, as (num, den) coefficient tuples."""
+    num, den = TruncPoly(num).coeffs, TruncPoly(den).coeffs
+    if not num:
+        return (), (1,)
+    g = _ref_gcd(num, den)
+    if len(g) > 1:
+        (qn, rn), (qd, rd) = _ref_divmod(num, g), _ref_divmod(den, g)
+        assert not rn and not rd and all(c.denominator == 1 for c in qn + qd)
+        num, den = TruncPoly(map(int, qn)).coeffs, TruncPoly(map(int, qd)).coeffs
+    k = gcd(*num, *den) * (1 if den[0] > 0 else -1)
+    return tuple(c // k for c in num), tuple(c // k for c in den)
+
+
+_factors = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(lambda cs: cs[0] != 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly(6), _dens, _factors)
+def test_rational_function_matches_euclid_over_q(num, den, factor):
+    f = TruncPoly(factor)
+    num, den = TruncPoly(num) * f, TruncPoly(den) * f
+    rf = RationalFunction(num, den)
+    assert (rf.num.coeffs, rf.den.coeffs) == _ref_reduce(num.coeffs, den.coeffs)
+
+
+try:
+    import sympy
+except ImportError:  # test-only dependency
+    sympy = None
+
+
+def _sympy_gcd(a, b):
+    t = sympy.symbols("t")
+    g = sympy.Poly(list(reversed(a)) or [0], t, domain="ZZ").gcd(
+        sympy.Poly(list(reversed(b)) or [0], t, domain="ZZ")
+    )
+    g = g.primitive()[1]
+    if g.LC() < 0:
+        g = -g
+    return TruncPoly(reversed([int(c) for c in g.all_coeffs()]))
+
+
+@pytest.mark.skipif(sympy is None, reason="sympy not installed")
+@settings(max_examples=200, deadline=None)
+@given(_poly(6), _poly(6), _factors)
+def test_poly_gcd_matches_sympy(a, b, factor):
+    f = TruncPoly(factor)
+    a, b = TruncPoly(a) * f, TruncPoly(b) * f
+    assert poly_gcd(a, b) == _sympy_gcd(a.coeffs, b.coeffs)
+    assert poly_gcd(a, b) == TruncPoly(_ref_gcd(a.coeffs, b.coeffs))
