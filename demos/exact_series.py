@@ -35,6 +35,7 @@ million = (TruncSeries(4, [1, 1]) ** 10**6)
 print("(1+t)^1000000 starts:", million.int_coeffs()[:3])
 
 # The product identity: layer dimensions at n = 1, 2, 4 telescope,
-# prod (1-t^2n)/(1-t^n) over those n collapses to (1-t^8)/(1-t).
+# prod (1-t^2n)/(1-t^n) over those n collapses to (1-t^8)/(1-t). It is
+# built in int and returns the coefficients as a tuple of int.
 rhs = product_identity_rhs([1, 1, 0, 1, 0, 0, 0], 2, 7)
-print("telescoping product:", rhs.int_coeffs())
+print("telescoping product:", list(rhs))

@@ -2,10 +2,10 @@
 
 Groups are described by a small expression language (free, cyclic,
 Demushkin, semidirect and direct/free products of these); dimensions come
-from exact arithmetic, with integer polynomials and rational functions in
-Z[t] and power series truncated over the rationals, with Hall commutator
-bases for the free case and brute-force finite-group oracles for
-cross-checking.
+from exact arithmetic, with integer polynomials, rational functions and
+series coefficients over Z and the logarithm of the truncated series over
+the rationals, with Hall commutator bases for the free case and brute-force
+finite-group oracles for cross-checking.
 
 The names below load their submodule on first use (PEP 562), so importing
 one submodule, such as ``zassenhaus.finite``, compiles none of the others.

@@ -12,7 +12,8 @@ n-ary). 'x' binds tighter than '*', so "a * b x c" means "a * (b x c)";
 parenthesize to override. Whitespace is ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 validation error, 4 integrality failure.
+3 validation error, 4 integrality failure. A reader that closes stdout early
+ends the output quietly and leaves the exit code as it was.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 # Each command imports the program modules it runs, when it runs, so one
@@ -77,7 +80,7 @@ def cmd_dims(args: argparse.Namespace) -> list[str]:
             "b": [str(x) for x in table.b],
             "w": list(table.w),
             "c": list(table.c),
-            "galois_exponents": [table.galois_exponent(n) for n in range(1, n_max + 2)],
+            "galois_exponents": list(accumulate(table.c[1:], initial=0)),
         }
         return [json.dumps(payload, indent=2)]
     headers = ("n", "a_n", "b_n", "w_n", "c_n", "sum_c")
@@ -121,8 +124,7 @@ def cmd_series(args: argparse.Namespace) -> list[str]:
             }
             return [json.dumps(payload, indent=2)]
         return [recipe.product_form]
-    series = hp_series(spec, args.prime, args.max_n)
-    coeffs = series.int_coeffs()
+    coeffs = hp_series(spec, args.prime, args.max_n)
     if args.format == "json":
         payload = {
             "spec": to_text(spec),
@@ -279,8 +281,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         return _report_error(exc)
 
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as `zass ... | head` does: stop
+        # quietly, and point stdout at devnull so that the interpreter's own
+        # flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

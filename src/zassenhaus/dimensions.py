@@ -18,7 +18,8 @@ from math import comb, factorial
 from typing import Sequence
 
 from .groupspec import Demushkin, Free, GroupSpec, hp_series
-from .numtheory import divisors, is_prime, moebius, moebius_table
+from .numtheory import NonIntegralW, divisors, is_prime, moebius, moebius_table, w_free_closed
+from .series import TruncSeries
 
 __all__ = [
     "DimensionTable",
@@ -37,16 +38,6 @@ __all__ = [
     "power_sums_free_product_cp",
     "min_generators",
 ]
-
-
-class NonIntegralW(ValueError):
-    """w_n, or a power sum s_n behind it, came out non-integral: the input is
-    not a group dimension series, or a closed formula is wrong."""
-
-    def __init__(self, n: int, value: Fraction, symbol: str = "w"):
-        super().__init__(f"{symbol}_{n} = {value} is not an integer")
-        self.degree = n
-        self.value = value
 
 
 class NegativeDimension(ValueError):
@@ -140,30 +131,12 @@ class DimensionTable:
 
 def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
     """Run the whole pipeline for a group expression."""
-    series = hp_series(spec, p, order)
-    a = series.int_coeffs()
-    b = series.log().coeffs[1:]  # raises ConstantTermNotOne unless a_0 = 1
+    a = hp_series(spec, p, order)
+    b = TruncSeries(order, a).log().coeffs[1:]  # raises ConstantTermNotOne unless a_0 = 1
     w = w_sequence(b)
-    c = c_sequence(w, p)
     return DimensionTable(
-        p=p,
-        order=order,
-        a=tuple(a),
-        b=(Fraction(0),) + tuple(b),
-        w=(0,) + tuple(w),
-        c=(0,) + tuple(c),
+        p=p, order=order, a=a, b=(Fraction(0), *b), w=(0, *w), c=(0, *c_sequence(w, p))
     )
-
-
-def w_free_closed(d: int, n: int) -> int:
-    """Necklace count (1/n) sum_{m | n} mu(m) d^(n/m): free-group exponents."""
-    if d < 0 or n < 1:
-        raise ValueError("need d >= 0 and n >= 1")
-    total = sum(mu * d ** (n // m) for m in divisors(n) if (mu := moebius(m)))
-    w, r = divmod(total, n)
-    if r:
-        raise NonIntegralW(n, Fraction(total, n))
-    return w
 
 
 def demushkin_power_sum(d: int, m: int) -> int:

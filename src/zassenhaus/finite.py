@@ -42,9 +42,8 @@ class InvalidCap(ValueError):
     """The element cap in the environment is not a positive integer."""
 
 
-def element_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
+def element_cap() -> int:
+    """The element cap: ZASS_MAX_ELEMENTS if set, else DEFAULT_ELEMENT_CAP."""
     env = os.environ.get(ENV_CAP)
     if not env:
         return DEFAULT_ELEMENT_CAP
@@ -60,12 +59,12 @@ def element_cap(explicit: int | None = None) -> int:
 class FiniteGroup:
     """Matrix p-group with elements addressed by integer index; index 0 = 1."""
 
-    def __init__(self, p: int, size: int, positions, max_elements: int | None = None):
+    def __init__(self, p: int, size: int, positions):
         self.p = p
         self.size = size
         self.positions = tuple(positions)
         order = p ** len(self.positions)
-        cap = element_cap(max_elements)
+        cap = element_cap()
         if order > cap:
             raise TooLarge(
                 f"group would have {order} elements, over the cap of {cap} "
@@ -213,17 +212,17 @@ class FiniteGroup:
         )
 
 
-def unitriangular_group(m: int, p: int, max_elements: int | None = None) -> FiniteGroup:
+def unitriangular_group(m: int, p: int) -> FiniteGroup:
     """Full group of m x m unit upper-triangular matrices over F_p."""
     if m < 1:
         raise ValueError(f"matrix size must be >= 1, got {m}")
     positions = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return FiniteGroup(p, m, positions, max_elements)
+    return FiniteGroup(p, m, positions)
 
 
-def cyclic_group(p: int, max_elements: int | None = None) -> FiniteGroup:
+def cyclic_group(p: int) -> FiniteGroup:
     """Cyclic group of order p, realized as 2 x 2 unitriangular matrices."""
-    return unitriangular_group(2, p, max_elements)
+    return unitriangular_group(2, p)
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
@@ -231,12 +230,7 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     if g1.p != g2.p:
         raise ValueError(f"factors live over different primes: {g1.p} and {g2.p}")
     shifted = [(i + g1.size, j + g1.size) for i, j in g2.positions]
-    return FiniteGroup(
-        g1.p,
-        g1.size + g2.size,
-        list(g1.positions) + shifted,
-        max_elements=g1.order * g2.order,
-    )
+    return FiniteGroup(g1.p, g1.size + g2.size, list(g1.positions) + shifted)
 
 
 def _closure(group: FiniteGroup, candidates, conjugate_by) -> tuple[np.ndarray, list[int]]:

@@ -20,7 +20,7 @@ from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
-from .series import RationalFunction, TruncPoly, TruncSeries
+from .series import RationalFunction, _quotient
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,10 @@ class RankOutOfRange(ValidationError):
     pass
 
 
+# str.isdigit also accepts other scripts' digits and superscripts
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str):
     tokens = []
     i, n = 0, len(text)
@@ -179,9 +183,9 @@ def _tokenize(text: str):
         elif ch == ",":
             tokens.append(("comma", ",", i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -370,11 +374,13 @@ def _plus_multiple(a: tuple, m: int, b: tuple) -> tuple:
     return tuple(x + m * y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
-    """P(t): the Hilbert series of the graded completed group algebra over F_p.
+def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
+    """a_0..a_order of P(t), the Hilbert series of the graded completed group
+    algebra over F_p.
 
     The expression folds into one fraction num / den of integer polynomials
-    cut after t^order, each with constant term 1, and P is one division.
+    cut after t^order, each with constant term 1, and P is one division in
+    integers.
     Leaves give their known fractions. A direct product multiplies, and a
     free product of k factors composes by P^-1 = P_1^-1 + ... + P_k^-1 - (k - 1),
     summed over the distinct factors with their multiplicities.
@@ -405,8 +411,7 @@ def hp_series(spec: GroupSpec, p: int, order: int) -> TruncSeries:
             num, den = _mul(num, f_num, size), _mul(den, f_den, size)
         return num, den
 
-    num, den = _fold(spec, leaf, node)
-    return TruncSeries(order, num) / TruncPoly(den)
+    return tuple(_quotient(*_fold(spec, leaf, node), order))
 
 
 @dataclass(frozen=True)

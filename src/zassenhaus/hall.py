@@ -11,7 +11,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .numtheory import is_prime
+from .numtheory import is_prime, w_free_closed
+
+# The most elements zassenhaus_basis lists: it holds every Hall layer up to
+# weight n in memory at once, so the cap bounds its time and memory.
+MAX_BASIS_ELEMENTS = 100_000
+
+
+class BasisTooLarge(ValueError):
+    """The requested basis has more than MAX_BASIS_ELEMENTS elements."""
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,8 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
 
     For n = p^k m with gcd(m, p) = 1 the blocks are C_m with exponent k,
     C_{pm} with exponent k - 1, ..., C_n with exponent 0, in that order.
+    The size is counted first, from the necklace counts |C_w| of the chain,
+    and a basis over MAX_BASIS_ELEMENTS raises BasisTooLarge unenumerated.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -129,6 +139,12 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     while m % p == 0:
         m //= p
         k += 1
+    count = sum(w_free_closed(d, m * p ** i) for i in range(k + 1))
+    if count > MAX_BASIS_ELEMENTS:
+        raise BasisTooLarge(
+            f"the degree-{n} basis of free({d}) at p = {p} has {count} elements, "
+            f"over the cap of {MAX_BASIS_ELEMENTS}"
+        )
     layers = hall_commutators(d, n)
     out = []
     for j in range(k, -1, -1):

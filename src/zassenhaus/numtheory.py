@@ -2,6 +2,16 @@
 from __future__ import annotations
 
 
+class NonIntegralW(ValueError):
+    """w_n, or a power sum s_n behind it, came out non-integral: the input is
+    not a group dimension series, or a closed formula is wrong."""
+
+    def __init__(self, n: int, value, symbol: str = "w"):
+        super().__init__(f"{symbol}_{n} = {value} is not an integer")
+        self.degree = n
+        self.value = value
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -75,3 +85,16 @@ def moebius_table(n: int) -> list[int]:
                 break  # mu(i q) = 0, already stored
             mu[i * q] = -mu[i]
     return mu
+
+
+def w_free_closed(d: int, n: int) -> int:
+    """Necklace count (1/n) sum_{m | n} mu(m) d^(n/m): free-group exponents."""
+    if d < 0 or n < 1:
+        raise ValueError("need d >= 0 and n >= 1")
+    total = sum(mu * d ** (n // m) for m in divisors(n) if (mu := moebius(m)))
+    w, r = divmod(total, n)
+    if r:
+        from fractions import Fraction  # the error path alone needs it
+
+        raise NonIntegralW(n, Fraction(total, n))
+    return w

@@ -1,16 +1,17 @@
-"""Exact truncated power series over Q, integer polynomials, and their ratios.
+"""Exact truncated power series, integer polynomials, and their ratios.
 
-No floats: polynomials and rational functions live in Z[t] with
-arbitrary-precision int, and only the truncated series use fractions.Fraction.
-A TruncSeries carries its truncation order and raises instead of inventing
-coefficients past it, and binary operations only ever claim the order both
-operands support.
+No floats: polynomials, rational functions and the product identity live in
+Z[t] with arbitrary-precision int, and only the truncated series, TruncSeries,
+use fractions.Fraction. A TruncSeries carries its truncation order and raises
+instead of inventing coefficients past it, and binary operations only ever
+claim the order both operands support.
 
-Every series quotient is one recurrence, _quotient: the inverse is 1 / a, the
-logarithm integrates a' / a, expand_rational is num / den, and a series
-divides by a polynomial such as 1 - t^k. Polynomial division is likewise one
-integer pseudo-division, _pseudo_divmod, behind both poly_gcd and exact
-division.
+Every series quotient is one recurrence, _quotient, which stays in int for an
+integer numerator over an integer denominator with constant term 1: the
+inverse is 1 / a, the logarithm integrates a' / a, expand_rational is
+num / den, and the Hilbert series is its folded num / den. Polynomial
+division is likewise one integer pseudo-division, _pseudo_divmod, behind both
+poly_gcd and exact division.
 """
 from __future__ import annotations
 
@@ -210,22 +211,26 @@ def _poly_divexact(a: TruncPoly, g: TruncPoly) -> TruncPoly:
     return TruncPoly(quot)
 
 
-def _quotient(num: Sequence, den: Sequence, order: int) -> list[Fraction]:
+def _quotient(num: Sequence, den: Sequence, order: int) -> list:
     """Coefficients 0..order of the series num / den, for den[0] != 0.
 
     out[k] = (num[k] - sum_{j >= 1} den[j] * out[k - j]) / den[0], visiting only
     the nonzero terms of den; entries past the end of num or den are zero.
+    With den[0] == 1 and int coefficients throughout nothing is divided and
+    the result is int; otherwise it is Fraction.
     """
-    d0 = Fraction(den[0])
+    num = num[:order + 1]
     terms = [(j, d) for j, d in enumerate(den[1:order + 1], start=1) if d]
+    exact = den[0] == 1 and all(isinstance(x, int) for x in (*num, *(d for _, d in terms)))
+    d0 = Fraction(den[0])
     out = []
     for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        acc = num[k] if k < len(num) else 0
         for j, d in terms:
             if j > k:
                 break
             acc -= d * out[k - j]
-        out.append(acc / d0)
+        out.append(acc if exact else acc / d0)
     return out
 
 
@@ -379,14 +384,6 @@ class TruncSeries:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: TruncPoly) -> TruncSeries:
-        """self / other for a polynomial other with nonzero constant term."""
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        if other[0] == 0:
-            raise NotInvertible("constant term is 0")
-        return TruncSeries(self._order, _quotient(self._coeffs, other.coeffs, self._order))
-
     def inverse(self) -> TruncSeries:
         if self._coeffs[0] == 0:
             raise NotInvertible("constant term is 0")
@@ -467,8 +464,8 @@ def _times_binomial(out: list[int], step: int, e: int) -> None:
         out[shift:] = [x + term * y for x, y in zip(out[shift:], old)]
 
 
-def product_identity_rhs(c: Sequence[int], p: int, order: int) -> TruncSeries:
-    """Expand prod_n ((1 - t^(n p)) / (1 - t^n))^(c_n) to the given order.
+def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...]:
+    """Coefficients 0..order of prod_n ((1 - t^(n p)) / (1 - t^n))^(c_n).
 
     c lists c_1, c_2, ... (entry i is the exponent for n = i + 1); factors with
     n > order cannot touch the window and are skipped. Each factor is the
@@ -491,7 +488,7 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> TruncSeries:
             continue
         _times_binomial(out, n * p, cn)
         _times_binomial(out, n, -cn)
-    return TruncSeries(order, out)
+    return tuple(out)
 
 
 def format_poly(p: TruncPoly, var: str = "t") -> str:

@@ -3,6 +3,9 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -138,6 +141,14 @@ class TestBasis:
         assert payload["rank"] == 3 and payload["p"] == 3 and payload["degree"] == 3
         assert payload["count"] == 11 == len(payload["elements"])
         assert {"commutator", "weight", "p_exponent"} <= set(payload["elements"][0])
+
+    def test_oversized_basis_exits_3(self, capsys):
+        code, out, err = run(["basis", "2", "--degree", "26"], capsys)
+        assert code == 3 and out == ""
+        assert err == (
+            "validation error: the degree-26 basis of free(2) at p = 2 has 2581425 "
+            "elements, over the cap of 100000\n"
+        )
 
 
 class TestVerify:
@@ -292,6 +303,20 @@ class TestExitCodes:
         assert code == 0 and err == ""
         last = out.strip().strip("[]").split(", ")[-1]
         assert len(last) == 4501 and last == "1" + "0" * 4500
+
+    def test_closed_stdout_exits_quietly(self):
+        # about 1.4 MB of output, far past any pipe buffer, so the writes
+        # after the reader has gone fail with EPIPE
+        env = dict(os.environ, PYTHONPATH=str(Path(zassenhaus.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "zassenhaus", "series", "free(2)", "--max-n", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.read(10) == b"[1, 2, 4, "
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)

@@ -61,10 +61,20 @@ class TestGroupConstruction:
         with pytest.raises(fin.TooLarge):
             fin.unitriangular_group(8, 2)
 
-    def test_explicit_cap(self):
+    def test_explicit_cap(self, monkeypatch):
+        monkeypatch.setenv(fin.ENV_CAP, "32")
         with pytest.raises(fin.TooLarge):
-            fin.unitriangular_group(4, 2, max_elements=32)
-        assert fin.unitriangular_group(4, 2, max_elements=64).order == 64
+            fin.unitriangular_group(4, 2)
+        monkeypatch.setenv(fin.ENV_CAP, "64")
+        assert fin.unitriangular_group(4, 2).order == 64
+
+    def test_direct_product_respects_cap(self, monkeypatch):
+        monkeypatch.setenv(fin.ENV_CAP, "16")
+        u32 = fin.unitriangular_group(3, 2)
+        with pytest.raises(fin.TooLarge, match="64 elements, over the cap of 16"):
+            fin.direct_product(u32, u32)
+        monkeypatch.setenv(fin.ENV_CAP, "64")
+        assert fin.direct_product(u32, u32).order == 64
 
     def test_cap_message_names_variable(self):
         with pytest.raises(fin.TooLarge, match=fin.ENV_CAP):

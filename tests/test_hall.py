@@ -1,9 +1,12 @@
 """Hall commutator enumeration and graded bases."""
 import pytest
 
+from zassenhaus import hall
 from zassenhaus.dimensions import dims_table, w_free_closed
 from zassenhaus.groupspec import Free
 from zassenhaus.hall import (
+    MAX_BASIS_ELEMENTS,
+    BasisTooLarge,
     Bracket,
     Generator,
     basis_text_lines,
@@ -118,3 +121,18 @@ class TestBasis:
             zassenhaus_basis(2, 4, 2)
         with pytest.raises(ValueError):
             zassenhaus_basis(2, 2, 0)
+
+    def test_oversized_basis_refused_before_enumeration(self, monkeypatch):
+        def enumerate_nothing(d, max_weight):
+            raise AssertionError("enumerated an oversized basis")
+
+        monkeypatch.setattr(hall, "hall_commutators", enumerate_nothing)
+        # c_26 of free(2) at p = 2 is w_13 + w_26 = 630 + 2580795
+        with pytest.raises(BasisTooLarge, match=f"2581425 elements, over the cap of {MAX_BASIS_ELEMENTS}"):
+            zassenhaus_basis(2, 2, 26)
+        with pytest.raises(BasisTooLarge):
+            zassenhaus_basis(2, 2, 10 ** 6)
+
+    def test_cap_admits_bases_of_thousands(self):
+        assert len(zassenhaus_basis(2, 3, 18)) == 14542
+        assert len(zassenhaus_basis(3, 2, 10)) == 5928

@@ -65,12 +65,13 @@ def _bumped(fn, at, by=1):
 
 
 def _series_shifted(fn, k, by):
-    """fn with coefficient min(k, order) of the returned series moved by `by`."""
+    """fn with coefficient min(k, order) of the returned series moved by `by`;
+    the series is a TruncSeries or a tuple of coefficients, and stays one."""
     def shifted(*args):
         s = fn(*args)
-        coeffs = list(s.coeffs)
-        coeffs[min(k, s.order)] += by
-        return TruncSeries(s.order, coeffs)
+        coeffs = list(s.coeffs if isinstance(s, TruncSeries) else s)
+        coeffs[min(k, len(coeffs) - 1)] += by
+        return TruncSeries(s.order, coeffs) if isinstance(s, TruncSeries) else tuple(coeffs)
     return shifted
 
 
