@@ -1,14 +1,18 @@
 """Golden snapshots: stdout of `zass dims` and `zass series --closed-form`
-for every catalog expression, and of `zass verify --format json` for the
-roundtrip and closed-form suites, compared byte for byte.
+for every catalog expression, of `zass verify --format json` for the
+roundtrip and closed-form suites, and of `zass basis`, compared byte for byte.
 
 The snapshots under tests/golden/ were recorded before the expression tree
-became n-ary; a refactor of the pipeline must reproduce them exactly.
+became n-ary, and the basis ones before the Hall sets dropped their
+commutator objects; a refactor of the pipeline must reproduce them exactly.
+The two large bases of the benchmark (0.3 to 2.4 MB of text each) are
+pinned by the sha256 of their stdout, the small ones in full.
 Re-record (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -20,6 +24,16 @@ from zassenhaus.verify import builtin_specs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PRIMES = (2, 3, 5)
+BASIS_HASHED = [
+    ["basis", d, "--prime", p, "--degree", n, "--format", fmt]
+    for d, p, n in (("2", "3", "18"), ("3", "2", "10"))
+    for fmt in ("table", "csv", "json")
+]
+BASIS_FULL = [
+    ["basis", "2", "--prime", "2", "--degree", "4"],
+    ["basis", "3", "--prime", "3", "--degree", "3", "--format", "json"],
+    ["basis", "1", "--prime", "3", "--degree", "9", "--format", "csv"],
+]
 
 
 def commands(p: int) -> list[list[str]]:
@@ -41,6 +55,10 @@ def stdout_of(argv: list[str]) -> str:
     return buf.getvalue()
 
 
+def sha256_of(argv: list[str]) -> str:
+    return hashlib.sha256(stdout_of(argv).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_outputs_match_snapshots(p):
     recorded = json.loads((GOLDEN / f"p{p}.json").read_text(encoding="utf-8"))
@@ -50,8 +68,23 @@ def test_outputs_match_snapshots(p):
         assert stdout_of(argv).encode() == recorded[" ".join(argv)].encode(), argv
 
 
+def test_basis_outputs_match_snapshots():
+    recorded = json.loads((GOLDEN / "basis.json").read_text(encoding="utf-8"))
+    assert list(recorded["sha256"]) == [" ".join(argv) for argv in BASIS_HASHED]
+    assert list(recorded["stdout"]) == [" ".join(argv) for argv in BASIS_FULL]
+    for argv in BASIS_HASHED:
+        assert sha256_of(argv) == recorded["sha256"][" ".join(argv)], argv
+    for argv in BASIS_FULL:
+        assert stdout_of(argv) == recorded["stdout"][" ".join(argv)], argv
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for p in PRIMES:
         snap = {" ".join(argv): stdout_of(argv) for argv in commands(p)}
         (GOLDEN / f"p{p}.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
+    snap = {
+        "sha256": {" ".join(argv): sha256_of(argv) for argv in BASIS_HASHED},
+        "stdout": {" ".join(argv): stdout_of(argv) for argv in BASIS_FULL},
+    }
+    (GOLDEN / "basis.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
