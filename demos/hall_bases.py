@@ -7,13 +7,13 @@ raised to the p-power that lifts its weight to n.
 """
 from zassenhaus.dimensions import dims_table, w_free_closed
 from zassenhaus.groupspec import Free
-from zassenhaus.hall import basis_text_lines, hall_commutators, render, zassenhaus_basis
+from zassenhaus.hall import basis_text_lines, hall_commutators, zassenhaus_basis
 
 d = 2
 layers = hall_commutators(d, 6)
 print(f"Hall layers for {d} generators:")
 for n in range(1, 7):
-    names = ", ".join(render(c) for c in layers[n])
+    names = ", ".join(layers[n])
     print(f"  weight {n} ({len(layers[n])} = necklace {w_free_closed(d, n)}): {names}"
           if n <= 4 else f"  weight {n}: {len(layers[n])} elements")
 

@@ -45,8 +45,6 @@ _EXPORTS = {
     ),
     "hall": (
         "BasisElement",
-        "Bracket",
-        "Generator",
         "basis_text_lines",
         "hall_commutators",
         "zassenhaus_basis",

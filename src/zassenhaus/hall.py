@@ -7,9 +7,7 @@ when c1 > c2 and, if c1 = [c3, c4], additionally c2 >= c4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Union
+from typing import NamedTuple
 
 from .numtheory import is_prime, w_free_closed
 
@@ -22,85 +20,43 @@ class BasisTooLarge(ValueError):
     """The requested basis has more than MAX_BASIS_ELEMENTS elements."""
 
 
-@dataclass(frozen=True)
-class Generator:
-    index: int  # 1-based; x_1 is the greatest generator
+def _layers(d: int, max_weight: int) -> dict[int, list[str]]:
+    """Text of the nonempty Hall layers up to max_weight, each smallest first.
 
-
-@dataclass(frozen=True)
-class Bracket:
-    left: "HallCommutator"
-    right: "HallCommutator"
-
-
-HallCommutator = Union[Generator, Bracket]
-
-
-def weight(c: HallCommutator) -> int:
-    if isinstance(c, Generator):
-        return 1
-    return weight(c.left) + weight(c.right)
-
-
-def hall_key(c: HallCommutator):
-    """Sort key realizing the total order: bigger key means greater element.
-
-    Keys of equal-weight elements are shape-compatible (weight 1 is always a
-    generator, weight > 1 always a bracket), so tuple comparison is safe.
+    An element is named by its weight w and its position i in the sorted
+    weight-w layer, so comparing two elements is comparing these pairs.
+    rights[w][i] is the pair of the right component of element (w, i), None
+    for a generator: [c1, c2] with c1 > c2 is admitted when c2 >= rights of c1.
+    Only nonempty layers are visited, so a rank-1 run is linear in max_weight.
     """
-    if isinstance(c, Generator):
-        return (1, -c.index)
-    return (weight(c), hall_key(c.left), hall_key(c.right))
-
-
-def render(c: HallCommutator) -> str:
-    """Text form like '[[x1,x2],x2]'."""
-    if isinstance(c, Generator):
-        return f"x{c.index}"
-    return f"[{render(c.left)},{render(c.right)}]"
-
-
-@lru_cache(maxsize=None)
-def _layers(d: int, max_weight: int) -> tuple[tuple[HallCommutator, ...], ...]:
-    """Layers 1..max_weight in ascending order; entry [w - 1] is weight w.
-
-    Internally elements are index pairs (weight, position) into already
-    sorted layers, which makes the order comparisons plain tuple compares.
-    """
-    # records[w][i] = (n1, i1, n2, i2) for brackets, None for generators;
-    # rights[w][i] = (weight, position) of the right component, None for generators.
-    records: list[list] = [[], [None] * d]
-    rights: list[list] = [[], [None] * d]
+    text = {1: [f"x{d - i}" for i in range(d)]}
+    rights = {1: [None] * d}
     for n in range(2, max_weight + 1):
-        recs = []
-        if n % 2 == 0:
-            h = n // 2
-            size = len(records[h])
-            for i1 in range(size):
-                lim = rights[h][i1]
-                for i2 in range(i1):
-                    if lim is None or (h, i2) >= lim:
-                        recs.append((h, i1, h, i2))
-        for n1 in range(n // 2 + 1, n):
+        texts: list[str] = []
+        rs: list[tuple[int, int]] = []
+        for n1 in [w for w in text if n <= 2 * w < 2 * n and n - w in text]:
             n2 = n - n1
-            for i1 in range(len(records[n1])):
-                lim = rights[n1][i1]
-                for i2 in range(len(records[n2])):
-                    if lim is None or (n2, i2) >= lim:
-                        recs.append((n1, i1, n2, i2))
-        records.append(recs)
-        rights.append([(r[2], r[3]) for r in recs])
+            layer2 = text[n2]
+            for i1, lim in enumerate(rights[n1]):
+                stop = i1 if n1 == n2 else len(layer2)
+                if lim is None or lim[0] < n2:
+                    start = 0
+                elif lim[0] == n2:
+                    start = lim[1]
+                else:
+                    continue
+                left = "[" + text[n1][i1] + ","
+                texts.extend([left + t + "]" for t in layer2[start:stop]])
+                if n < max_weight:  # the top layer is no left component
+                    rs.extend([(n2, i2) for i2 in range(start, stop)])
+        if texts:
+            text[n] = texts
+            rights[n] = rs
+    return text
 
-    objs: list[list[HallCommutator]] = [[], [Generator(d - i) for i in range(d)]]
-    for n in range(2, max_weight + 1):
-        objs.append(
-            [Bracket(objs[n1][i1], objs[n2][i2]) for (n1, i1, n2, i2) in records[n]]
-        )
-    return tuple(tuple(layer) for layer in objs[1:])
 
-
-def hall_commutators(d: int, max_weight: int) -> list[list[HallCommutator]]:
-    """Hall sets C_1..C_max_weight; entry [w] lists weight w, greatest first.
+def hall_commutators(d: int, max_weight: int) -> list[list[str]]:
+    """Hall sets C_1..C_max_weight as text; entry [w] lists weight w, greatest first.
 
     Entry [0] is empty padding so that result[w] is the weight-w layer.
     """
@@ -109,14 +65,14 @@ def hall_commutators(d: int, max_weight: int) -> list[list[HallCommutator]]:
     if max_weight < 1:
         raise ValueError(f"max weight must be >= 1, got {max_weight}")
     layers = _layers(d, max_weight)
-    return [[]] + [list(reversed(layer)) for layer in layers]
+    return [[]] + [layers.get(w, [])[::-1] for w in range(1, max_weight + 1)]
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """A Hall commutator raised to the p-power p^p_exponent."""
+class BasisElement(NamedTuple):
+    """A Hall commutator of the given weight raised to the p-power p^p_exponent."""
 
-    commutator: HallCommutator
+    commutator: str
+    weight: int
     p_exponent: int
 
 
@@ -141,15 +97,17 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
         k += 1
     count = sum(w_free_closed(d, m * p ** i) for i in range(k + 1))
     if count > MAX_BASIS_ELEMENTS:
+        # a count past Python's 4300-digit str limit is shown by its size
+        size = count if count.bit_length() < 10_000 else f"about 2^{count.bit_length()}"
         raise BasisTooLarge(
-            f"the degree-{n} basis of free({d}) at p = {p} has {count} elements, "
+            f"the degree-{n} basis of free({d}) at p = {p} has {size} elements, "
             f"over the cap of {MAX_BASIS_ELEMENTS}"
         )
-    layers = hall_commutators(d, n)
+    layers = _layers(d, n)
     out = []
     for j in range(k, -1, -1):
         w = m * p ** (k - j)
-        out.extend(BasisElement(c, j) for c in layers[w])
+        out.extend(BasisElement(c, w, j) for c in reversed(layers.get(w, [])))
     return out
 
 
@@ -159,14 +117,7 @@ def basis_text_lines(basis: list[BasisElement], p: int) -> list[str]:
     A weight-2 basis for two generators at p = 2 reads
     x1^2, x2^2, [x1,x2].
     """
-    out = []
-    for el in basis:
-        text = render(el.commutator)
-        if el.p_exponent:
-            out.append(f"{text}^{p ** el.p_exponent}")
-        else:
-            out.append(text)
-    return out
+    return [f"{c}^{p ** j}" if j else c for c, _, j in basis]
 
 
 def basis_json_dict(d: int, p: int, n: int, basis: list[BasisElement]) -> dict:
@@ -175,12 +126,5 @@ def basis_json_dict(d: int, p: int, n: int, basis: list[BasisElement]) -> dict:
         "p": p,
         "degree": n,
         "count": len(basis),
-        "elements": [
-            {
-                "commutator": render(el.commutator),
-                "weight": weight(el.commutator),
-                "p_exponent": el.p_exponent,
-            }
-            for el in basis
-        ],
+        "elements": [el._asdict() for el in basis],
     }

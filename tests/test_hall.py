@@ -7,28 +7,54 @@ from zassenhaus.groupspec import Free
 from zassenhaus.hall import (
     MAX_BASIS_ELEMENTS,
     BasisTooLarge,
-    Bracket,
-    Generator,
     basis_text_lines,
     hall_commutators,
-    hall_key,
-    render,
-    weight,
     zassenhaus_basis,
 )
 
 
-def _is_hall(c, layers):
+def _parse(text):
+    """Nested pairs from the text form, a generator x_i read as i:
+    '[[x1,x2],x2]' becomes ((1, 2), 2)."""
+
+    def parse(pos):
+        if text[pos] == "x":
+            end = pos + 1
+            while end < len(text) and text[end].isdigit():
+                end += 1
+            return int(text[pos + 1:end]), end
+        assert text[pos] == "["
+        left, pos = parse(pos + 1)
+        assert text[pos] == ","
+        right, pos = parse(pos + 1)
+        assert text[pos] == "]"
+        return (left, right), pos + 1
+
+    c, end = parse(0)
+    assert end == len(text)
+    return c
+
+
+def _weight(c):
+    return 1 if isinstance(c, int) else _weight(c[0]) + _weight(c[1])
+
+
+def _key(c):
+    """Sort key of the Hall order, independent of the library: weight
+    first, then the components; x_i is keyed by -i, so x1 is greatest."""
+    if isinstance(c, int):
+        return (1, -c)
+    return (_weight(c), _key(c[0]), _key(c[1]))
+
+
+def _is_hall(c):
     """Structural audit straight from the defining condition."""
-    if isinstance(c, Generator):
+    if isinstance(c, int):
         return True
-    ok = (
-        _is_hall(c.left, layers)
-        and _is_hall(c.right, layers)
-        and hall_key(c.left) > hall_key(c.right)
-    )
-    if isinstance(c.left, Bracket):
-        ok = ok and hall_key(c.right) >= hall_key(c.left.right)
+    left, right = c
+    ok = _is_hall(left) and _is_hall(right) and _key(left) > _key(right)
+    if isinstance(left, tuple):
+        ok = ok and _key(right) >= _key(left[1])
     return ok
 
 
@@ -47,31 +73,34 @@ class TestLayers:
 
     def test_small_layers_exactly(self):
         layers = hall_commutators(2, 3)
-        assert [render(c) for c in layers[1]] == ["x1", "x2"]
-        assert [render(c) for c in layers[2]] == ["[x1,x2]"]
-        assert [render(c) for c in layers[3]] == ["[[x1,x2],x1]", "[[x1,x2],x2]"]
+        assert layers[1] == ["x1", "x2"]
+        assert layers[2] == ["[x1,x2]"]
+        assert layers[3] == ["[[x1,x2],x1]", "[[x1,x2],x2]"]
 
     def test_layers_sorted_greatest_first(self):
         layers = hall_commutators(3, 7)
         for n in range(1, 8):
-            keys = [hall_key(c) for c in layers[n]]
+            keys = [_key(_parse(c)) for c in layers[n]]
             assert keys == sorted(keys, reverse=True)
             assert len(set(keys)) == len(keys)
 
     def test_all_weights_correct(self):
         layers = hall_commutators(2, 8)
         for n in range(1, 9):
-            assert all(weight(c) == n for c in layers[n])
+            assert all(_weight(_parse(c)) == n for c in layers[n])
 
     def test_hall_condition_holds_everywhere(self):
         layers = hall_commutators(3, 8)
         for layer in layers[1:]:
             for c in layer:
-                assert _is_hall(c, layers)
+                assert _is_hall(_parse(c))
 
     def test_generator_order(self):
-        # x1 is the greatest generator
-        assert hall_key(Generator(1)) > hall_key(Generator(2))
+        # x1 is the greatest generator: it leads layer 1, and a bracket
+        # ending in x1 precedes the same bracket ending in x2
+        layers = hall_commutators(3, 3)
+        assert layers[1] == ["x1", "x2", "x3"]
+        assert layers[3].index("[[x1,x2],x1]") < layers[3].index("[[x1,x2],x2]")
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -100,8 +129,9 @@ class TestBasis:
         basis = zassenhaus_basis(2, 2, 12)
         blocks = {}
         for el in basis:
-            blocks.setdefault((weight(el.commutator), el.p_exponent), 0)
-            blocks[(weight(el.commutator), el.p_exponent)] += 1
+            assert el.weight == _weight(_parse(el.commutator))
+            blocks.setdefault((el.weight, el.p_exponent), 0)
+            blocks[(el.weight, el.p_exponent)] += 1
         assert set(blocks) == {(3, 2), (6, 1), (12, 0)}
         assert blocks[(3, 2)] == w_free_closed(2, 3)
         assert blocks[(6, 1)] == w_free_closed(2, 6)
@@ -126,12 +156,20 @@ class TestBasis:
         def enumerate_nothing(d, max_weight):
             raise AssertionError("enumerated an oversized basis")
 
-        monkeypatch.setattr(hall, "hall_commutators", enumerate_nothing)
+        monkeypatch.setattr(hall, "_layers", enumerate_nothing)
         # c_26 of free(2) at p = 2 is w_13 + w_26 = 630 + 2580795
         with pytest.raises(BasisTooLarge, match=f"2581425 elements, over the cap of {MAX_BASIS_ELEMENTS}"):
             zassenhaus_basis(2, 2, 26)
         with pytest.raises(BasisTooLarge):
             zassenhaus_basis(2, 2, 10 ** 6)
+
+    def test_rank1_powers_of_p(self):
+        basis = zassenhaus_basis(1, 2, 65536)
+        assert basis_text_lines(basis, 2) == ["x1^65536"]
+        assert basis == [("x1", 1, 16)]
+
+    def test_rank1_empty_at_large_degree(self):
+        assert zassenhaus_basis(1, 3, 100000) == []
 
     def test_cap_admits_bases_of_thousands(self):
         assert len(zassenhaus_basis(2, 3, 18)) == 14542
