@@ -1,6 +1,6 @@
 """Hall commutator sets on free generators and restricted-power bases.
 
-Generators are ordered x_1 > x_2 > ... > x_d. Commutators are ordered by
+The free generators are ordered x_1 > ... > x_d; commutators are ordered by
 weight first (heavier is greater), then lexicographically by components.
 Weight-n sets are built from the standard condition: [c1, c2] is admitted
 when c1 > c2 and, if c1 = [c3, c4], additionally c2 >= c4.
@@ -32,9 +32,8 @@ def _layers(d: int, max_weight: int) -> dict[int, list[str]]:
     text = {1: [f"x{d - i}" for i in range(d)]}
     rights = {1: [None] * d}
     for n in range(2, max_weight + 1):
-        texts: list[str] = []
-        rs: list[tuple[int, int]] = []
-        for n1 in [w for w in text if n <= 2 * w < 2 * n and n - w in text]:
+        new_text, new_rights = [], []
+        for n1 in [w for w in text if w < n <= 2 * w and n - w in text]:
             n2 = n - n1
             layer2 = text[n2]
             for i1, lim in enumerate(rights[n1]):
@@ -46,12 +45,12 @@ def _layers(d: int, max_weight: int) -> dict[int, list[str]]:
                 else:
                     continue
                 left = "[" + text[n1][i1] + ","
-                texts.extend([left + t + "]" for t in layer2[start:stop]])
+                new_text.extend([left + t + "]" for t in layer2[start:stop]])
                 if n < max_weight:  # the top layer is no left component
-                    rs.extend([(n2, i2) for i2 in range(start, stop)])
-        if texts:
-            text[n] = texts
-            rights[n] = rs
+                    new_rights.extend([(n2, i2) for i2 in range(start, stop)])
+        if new_text:
+            text[n] = new_text
+            rights[n] = new_rights
     return text
 
 
