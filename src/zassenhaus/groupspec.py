@@ -11,6 +11,10 @@ families and two products:
 
 '*' is the free product (lowest precedence) and 'x' the direct product
 (binds tighter); both are n-ary. Whitespace is insignificant.
+
+The Hilbert series is built by one fold, _pair, into a single unreduced
+fraction of integer coefficient tuples: hp_series cuts it after t^order and
+divides once, and closed_form keeps it exact and reduces it once.
 """
 from __future__ import annotations
 
@@ -157,6 +161,10 @@ class PrimeMismatch(ValidationError):
 
 class RankOutOfRange(ValidationError):
     pass
+
+
+class NegativeOrder(ValueError):
+    """A truncation order below 0: there are no coefficients a_0..a_order."""
 
 
 # str.isdigit also accepts other scripts' digits and superscripts
@@ -340,30 +348,38 @@ def _one_minus_t_power(e: int, size: int) -> list[int]:
     return out
 
 
-def _leaf_pair(leaf, p: int, size: int | None = None) -> tuple[tuple, tuple] | None:
+def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
     """The leaf's series as unreduced (num, den) coefficients, low degree first,
-    each cut after `size` terms if given; None for superpyth."""
+    each cut after `size` terms; exact polynomials when size is None, and then
+    None for superpyth, whose series has infinitely many factors."""
     if isinstance(leaf, Free):
         num, den = [1], [1, -leaf.rank]
     elif isinstance(leaf, Cyclic):
-        num, den = [1] * min(p, size or p), [1]
+        num, den = [1] * (p if size is None else min(p, size)), [1]
     elif isinstance(leaf, Demushkin):
         num, den = [1], [1, -leaf.rank, 1]
     elif isinstance(leaf, Zp):
-        num, den = [1], _one_minus_t_power(leaf.rank, size or leaf.rank + 1)
-    else:
+        num, den = [1], _one_minus_t_power(leaf.rank, leaf.rank + 1 if size is None else size)
+    elif size is None:
         return None
+    else:
+        # (1 + t) / ((1 - t)^d prod_{odd 3 <= k < size} (1 - t^k))
+        num, den = [1, 1], _one_minus_t_power(leaf.rank, size)
+        den += [0] * (size - len(den))
+        for k in range(3, size, 2):
+            den[k:] = [a - b for a, b in zip(den[k:], den)]
     return tuple(num[:size]), tuple(den[:size])
 
 
-def _mul(a: tuple, b: tuple, size: int) -> tuple:
-    """The product of two coefficient tuples, cut after `size` terms."""
+def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
+    """The product of two coefficient tuples, cut after `size` terms if given."""
     if len(a) > len(b):
         a, b = b, a
-    out = [0] * min(len(a) + len(b) - 1, size)
-    for i, x in enumerate(a[:size]):
+    n = len(a) + len(b) - 1 if size is None else min(len(a) + len(b) - 1, size)
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
         if x:
-            seg = b[:size - i]
+            seg = b[:n - i]
             end = i + len(seg)
             out[i:end] = [o + x * y for o, y in zip(out[i:end], seg)]
     return tuple(out)
@@ -374,31 +390,19 @@ def _plus_multiple(a: tuple, m: int, b: tuple) -> tuple:
     return tuple(x + m * y for x, y in zip_longest(a, b, fillvalue=0))
 
 
-def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
-    """a_0..a_order of P(t), the Hilbert series of the graded completed group
-    algebra over F_p.
+def _pair(spec: GroupSpec, p: int, size: int | None) -> tuple[tuple, tuple] | None:
+    """The expression folded into one unreduced fraction (num, den) of integer
+    coefficient tuples, each with constant term 1 and cut after `size` terms.
 
-    The expression folds into one fraction num / den of integer polynomials
-    cut after t^order, each with constant term 1, and P is one division in
-    integers.
     Leaves give their known fractions. A direct product multiplies, and a
     free product of k factors composes by P^-1 = P_1^-1 + ... + P_k^-1 - (k - 1),
-    summed over the distinct factors with their multiplicities.
+    summed over the distinct factors with their multiplicities. With size None
+    the pair is exact, or None where a superpyth factor leaves no finite form.
     """
-    validate(spec, p)
-    size = order + 1
-
-    def leaf(x):
-        if not isinstance(x, SuperPyth):
-            return _leaf_pair(x, p, size)
-        # (1 + t) / ((1 - t)^d prod_{odd 3 <= k <= order} (1 - t^k))
-        den = _one_minus_t_power(x.rank, size)
-        den += [0] * (size - len(den))
-        for k in range(3, size, 2):
-            den[k:] = [a - b for a, b in zip(den[k:], den)]
-        return (1, 1)[:size], tuple(den)
 
     def node(kind, factors):
+        if None in factors:
+            return None
         if kind is FreeProduct:
             # P^-1 = A / B, built up one distinct factor num / den at a time
             a, b = (1 - len(factors),), (1,)
@@ -411,7 +415,17 @@ def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
             num, den = _mul(num, f_num, size), _mul(den, f_den, size)
         return num, den
 
-    return tuple(_quotient(*_fold(spec, leaf, node), order))
+    return _fold(spec, lambda leaf: _leaf_pair(leaf, p, size), node)
+
+
+def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
+    """a_0..a_order of P(t), the Hilbert series of the graded completed group
+    algebra over F_p: the folded pair cut after t^order, divided once in
+    integers."""
+    validate(spec, p)
+    if order < 0:
+        raise NegativeOrder("order must be >= 0")
+    return tuple(_quotient(*_pair(spec, p, order + 1), order))
 
 
 @dataclass(frozen=True)
@@ -431,30 +445,12 @@ class SeriesRecipe:
 
 
 def closed_form(spec: GroupSpec, p: int) -> SeriesRecipe:
-    """Finite closed form where one exists; a product-form marker otherwise."""
+    """The exact folded pair in lowest terms where one exists; a product-form
+    marker otherwise."""
     validate(spec, p)
-
-    def node(kind, factors):
-        if any(r is None for r in factors):
-            return None
-        if kind is FreeProduct:
-            # inv = P^-1 = m_1 Q_1^-1 + ... + m_j Q_j^-1 - (k - 1), as num / den
-            inv = RationalFunction([1 - len(factors)])
-            for r, m in Counter(factors).items():
-                inv = RationalFunction(inv.num * r.num + m * r.den * inv.den, inv.den * r.num)
-            return RationalFunction(inv.den, inv.num)
-        rf = RationalFunction([1])
-        for r in factors:
-            rf = rf * r
-        return rf
-
-    def leaf(x):
-        pair = _leaf_pair(x, p)
-        return None if pair is None else RationalFunction(*pair)
-
-    rf = _fold(spec, leaf, node)
-    if rf is not None:
-        return SeriesRecipe(rational=rf, product_form=None)
+    pair = _pair(spec, p, None)
+    if pair is not None:
+        return SeriesRecipe(rational=RationalFunction(*pair), product_form=None)
     if isinstance(spec, SuperPyth):
         d = spec.rank
         text = f"(1 + t) / (1 - t)^{d} * prod_(i>=1) 1 / (1 - t^(2i+1))"

@@ -12,6 +12,10 @@ inverse is 1 / a, the logarithm integrates a' / a, expand_rational is
 num / den, and the Hilbert series is its folded num / den. Polynomial
 division is likewise one integer pseudo-division, _pseudo_divmod, behind both
 poly_gcd and exact division.
+
+Products of polynomials are taken on plain coefficient tuples by the one
+fold in groupspec, so TruncPoly only holds coefficients (with negation), and
+RationalFunction only reduces a finished pair to lowest terms.
 """
 from __future__ import annotations
 
@@ -103,54 +107,6 @@ class TruncPoly:
 
     def __neg__(self) -> TruncPoly:
         return TruncPoly(-c for c in self._coeffs)
-
-    def __add__(self, other) -> TruncPoly:
-        if isinstance(other, int):
-            other = TruncPoly([other])
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        n = max(len(self._coeffs), len(other._coeffs))
-        return TruncPoly([self[k] + other[k] for k in range(n)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> TruncPoly:
-        if isinstance(other, int):
-            other = TruncPoly([other])
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> TruncPoly:
-        if isinstance(other, int):
-            return TruncPoly(c * other for c in self._coeffs)
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return TruncPoly()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                out[i + j] += a * b
-        return TruncPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> TruncPoly:
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            raise NegativeExponent("polynomial power must be >= 0")
-        result = TruncPoly([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __repr__(self) -> str:
         return f"TruncPoly({list(self._coeffs)})"
@@ -275,18 +231,10 @@ class RationalFunction:
     def den(self) -> TruncPoly:
         return self._den
 
-    def __mul__(self, other) -> RationalFunction:
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self._num * other._num, self._den * other._den)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
             return self._num == other._num and self._den == other._den
         return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self._num, self._den))
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self._num.coeffs)}, {list(self._den.coeffs)})"

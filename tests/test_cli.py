@@ -1,5 +1,6 @@
 """Command-line interface: formats, schemas, exit codes."""
 import ast
+import contextlib
 import csv
 import io
 import json
@@ -10,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zassenhaus
 import zassenhaus.dimensions
@@ -318,6 +321,18 @@ class TestExitCodes:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["dims", "free(2)", "--max-n", "-1"],
+        ["series", "free(2)", "--max-n", "-3"],
+        ["verify", "--suite", "roundtrip", "--max-n", "-1"],
+        ["verify", "--max-n", "-2"],
+    ])
+    def test_negative_max_n_is_validation_error(self, capsys, argv, fmt):
+        code, out, err = run(argv + ["--format", fmt], capsys)
+        assert code == 3 and out == ""
+        assert err == "validation error: order must be >= 0\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(["--help"], capsys)
         assert code == 0
@@ -326,6 +341,72 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         code, _, err = run([], capsys)
         assert code == 2
+
+
+_LEAF_NAMES = ["free", "cyclic", "demushkin", "zp", "superpyth"]
+_leaf = st.builds("{}({})".format, st.sampled_from(_LEAF_NAMES), st.integers(0, 7))
+_expression = st.recursive(
+    _leaf,
+    lambda kids: st.builds(
+        lambda op, parts: "(" + f" {op} ".join(parts) + ")",
+        st.sampled_from("*x"),
+        st.lists(kids, min_size=2, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+def _mutated(text, data):
+    """text with one character deleted or one inserted."""
+    i = data.draw(st.integers(0, len(text)))
+    if data.draw(st.booleans()):
+        return text[:i] + text[i + 1:]
+    return text[:i] + data.draw(st.sampled_from("()*x, 0-z")) + text[i:]
+
+
+_spec_text = st.one_of(
+    _expression,
+    st.builds(_mutated, _expression, st.data()),
+    st.text(alphabet="freecyclicdmushkzpt()*x, 0123456789-", max_size=30),
+)
+_small_int = st.sampled_from([str(k) for k in range(-3, 13)] + ["", "1.5", "two"])
+_common = st.fixed_dictionaries({
+    "--prime": st.sampled_from(["2", "3", "5", "7"] * 3 + ["-2", "0", "1", "4", "", "p"]),
+    "--format": st.sampled_from(["table", "csv", "json"]),
+})
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["dims", "series", "basis", "verify"]))
+    options = dict(draw(_common))
+    if command == "basis":
+        head = [draw(st.integers(-1, 7).map(str))]
+        options["--degree"] = draw(_small_int)
+    else:
+        head = [] if command == "verify" else [draw(_spec_text)]
+        options["--max-n"] = draw(_small_int)
+    if command == "verify":
+        # the finite suite ignores every option here and runs for seconds
+        options["--suite"] = draw(st.sampled_from(["roundtrip", "closedforms"]))
+    flags = ["--closed-form"] if command == "series" and draw(st.booleans()) else []
+    return [command, *head, *(x for pair in options.items() for x in pair), *flags]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_main_keeps_the_exit_contract(argv):
+    """No exception escapes, the exit code is documented, a failure prints
+    nothing on stdout, and JSON output parses."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    out = buf.getvalue()
+    assert code in (0, 1, 2, 3, 4)
+    if code:
+        assert out == ""
+    elif "json" in argv:
+        json.loads(out)
 
 
 def test_no_assert_in_library():

@@ -3,6 +3,7 @@ import sys
 from collections import Counter
 from dataclasses import make_dataclass
 from functools import cache
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -30,12 +31,28 @@ from zassenhaus.groupspec import (
 )
 from zassenhaus.series import (
     RationalFunction,
-    TruncPoly,
     TruncSeries,
     expand_rational,
     format_poly,
 )
 from zassenhaus.verify import builtin_specs
+
+
+def _poly_mul(a, b):
+    """The product of two integer coefficient sequences, low degree first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _one_minus_t_to(d):
+    """(1 - t)^d, by d multiplications."""
+    out = [1]
+    for _ in range(d):
+        out = _poly_mul(out, [1, -1])
+    return out
 
 
 def nest(levels):
@@ -262,7 +279,7 @@ class TestHpSeries:
     def test_superpyth_matches_dense_products(self, d):
         # the leaf divides by 1 - t^k; multiplying by sum_j t^(jk) is the same
         order = 120
-        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** d), order)
+        s = expand_rational(RationalFunction([1, 1], _one_minus_t_to(d)), order)
         for k in range(3, order + 1, 2):
             s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
         assert hp_series(SuperPyth(d), 2, order) == s.coeffs
@@ -371,14 +388,14 @@ class TestBottomUpWalk:
                 walk(bad)
 
 
-def _trees(p):
+def _trees(p, superpyth=True):
     leaves = [
         st.builds(Free, st.integers(0, 3)),
         st.just(Cyclic(p)),
         st.builds(Demushkin, st.integers(2, 4)),
         st.builds(Zp, st.integers(0, 3)),
     ]
-    if p == 2:
+    if p == 2 and superpyth:
         leaves.append(st.builds(SuperPyth, st.integers(0, 2)))
     node = st.sampled_from([FreeProduct, DirectProduct])
     return st.recursive(
@@ -438,8 +455,8 @@ def _inverse_based_hp_series(spec, p, order):
         if isinstance(x, Demushkin):
             return expand_rational(RationalFunction([1], [1, -x.rank, 1]), order)
         if isinstance(x, Zp):
-            return expand_rational(RationalFunction([1], TruncPoly([1, -1]) ** x.rank), order)
-        s = expand_rational(RationalFunction([1, 1], TruncPoly([1, -1]) ** x.rank), order)
+            return expand_rational(RationalFunction([1], _one_minus_t_to(x.rank)), order)
+        s = expand_rational(RationalFunction([1, 1], _one_minus_t_to(x.rank)), order)
         for k in range(3, order + 1, 2):
             s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
         return s
@@ -478,3 +495,67 @@ class TestPairFoldMatchesInverses:
     def test_superpyth(self, d):
         spec = SuperPyth(d)
         assert hp_series(spec, 2, 120) == _inverse_based_hp_series(spec, 2, 120).coeffs
+
+
+def _per_node_closed_form(spec, p):
+    """closed_form as it stood before the single fold, kept as a reference.
+
+    Every leaf is a RationalFunction, and every product node composes its
+    factors' lowest-terms fractions into a new one, reduced again, so each
+    node's value is checked in lowest terms before its parent uses it.
+    Returns None where a superpyth factor leaves no finite form.
+    """
+    validate(spec, p)
+
+    def leaf(x):
+        if isinstance(x, Free):
+            return RationalFunction([1], [1, -x.rank])
+        if isinstance(x, Cyclic):
+            return RationalFunction([1] * p)
+        if isinstance(x, Demushkin):
+            return RationalFunction([1], [1, -x.rank, 1])
+        if isinstance(x, Zp):
+            return RationalFunction([1], _one_minus_t_to(x.rank))
+        return None
+
+    def node(kind, factors):
+        if any(r is None for r in factors):
+            return None
+        pairs = [(r.num.coeffs, r.den.coeffs) for r in factors]
+        if kind is FreeProduct:
+            # P^-1 = m_1 Q_1^-1 + ... + m_j Q_j^-1 - (k - 1), as num / den
+            inv = RationalFunction([1 - len(factors)])
+            for (num, den), m in Counter(pairs).items():
+                inv_num, inv_den = inv.num.coeffs, inv.den.coeffs
+                scaled = [m * c for c in _poly_mul(den, inv_den)]
+                summed = [x + y for x, y in zip_longest(_poly_mul(inv_num, num), scaled, fillvalue=0)]
+                inv = RationalFunction(summed, _poly_mul(inv_den, num))
+            return RationalFunction(inv.den, inv.num)
+        rf = RationalFunction([1])
+        for num, den in pairs:
+            rf = RationalFunction(_poly_mul(rf.num.coeffs, num), _poly_mul(rf.den.coeffs, den))
+        return rf
+
+    return _fold(spec, leaf, node)
+
+
+_prime_and_rational_tree = st.sampled_from([2, 3, 5]).flatmap(
+    lambda p: st.tuples(st.just(p), _trees(p, superpyth=False))
+)
+
+
+class TestClosedFormMatchesPerNodeComposition:
+    """The single fold, reduced once, gives the per-node composition's fraction."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_prime_and_rational_tree)
+    def test_random_trees(self, case):
+        p, spec = case
+        assert closed_form(spec, p).rational == _per_node_closed_form(spec, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_catalog(self, p):
+        for text, spec in builtin_specs(p):
+            recipe = closed_form(spec, p)
+            assert recipe.rational == _per_node_closed_form(spec, p), text
+            assert recipe.is_rational or recipe.product_form, text
