@@ -12,8 +12,10 @@ n-ary). 'x' binds tighter than '*', so "a * b x c" means "a * (b x c)";
 parenthesize to override. Whitespace is ignored.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error,
-3 validation error, 4 integrality failure. A reader that closes stdout early
-ends the output quietly and leaves the exit code as it was.
+3 validation error, 4 integrality failure, 5 internal error (any exception
+that is not one of the program's own typed errors, reported in one line
+with no traceback). A reader that closes stdout early ends the output
+quietly and leaves the exit code as it was.
 """
 from __future__ import annotations
 
@@ -37,6 +39,7 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_INTEGRALITY = 4
+EXIT_INTERNAL = 5
 
 VERIFY_SUITES = ("roundtrip", "closedforms", "finite")
 
@@ -240,8 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_error(exc: ValueError) -> int:
-    """Print one stderr line for a failed command and return its exit code."""
+def _report_error(exc: Exception) -> int:
+    """Print one stderr line for a failed command and return its exit code.
+
+    The program's typed errors are the ValueError subclasses it defines:
+    parse errors exit 2, integrality errors 4 and the others, bad input or
+    a limit, 3. Anything else is a fault of the program and exits 5.
+    """
     # the typed errors load here, on the error path, so no command pays for
     # modules it does not run
     from .dimensions import NegativeDimension, NonIntegralW
@@ -254,8 +262,12 @@ def _report_error(exc: ValueError) -> int:
     if isinstance(exc, (NonIntegralW, NegativeDimension, NonIntegralLog)):
         print(f"integrality error: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
-    print(f"validation error: {exc}", file=sys.stderr)
-    return EXIT_VALIDATION
+    if isinstance(exc, ValueError) and type(exc).__module__.startswith(__package__ + "."):
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    detail = str(exc).replace("\n", " ")
+    print(f"internal error: {type(exc).__name__}: {detail}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -278,7 +290,7 @@ def main(argv: list[str] | None = None) -> int:
             lines, code = cmd_basis(args), EXIT_OK
         else:
             lines, code = cmd_verify(args)
-    except ValueError as exc:
+    except Exception as exc:
         return _report_error(exc)
 
     try:

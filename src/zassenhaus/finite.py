@@ -6,7 +6,10 @@ fixed family of strictly-upper positions that is closed under multiplication
 Elements are indexed by mixed-radix encoding of the supported entries, so the
 index itself is the canonical interned form.  Indices decode through a table
 of all |G| matrices, built on first use; multiplication stays on demand as
-batched matrix products instead of a stored composition table.
+batched matrix products instead of a stored composition table.  Beside the
+decode table sits an inverse index, allocated on the first inverse call and
+filled only for the elements asked for, so the pair scans and the
+augmentation gathers invert each element once per group.
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -32,6 +35,11 @@ ENV_CAP = "ZASS_MAX_ELEMENTS"
 
 # pair count per decode/matmul chunk; keeps intermediates in the tens of MB
 _CHUNK_PAIRS = 1 << 21
+
+# widest F_2 rows, in 64-bit words, that _row_echelon_gf2 assembles word
+# column by word column; past about three words one int.from_bytes per row
+# is faster
+_WORD_COLUMNS = 2
 
 
 class TooLarge(ValueError):
@@ -82,6 +90,8 @@ class FiniteGroup:
         # uint8 is safe when a single dot product cannot wrap around 256
         self._dtype = np.uint8 if size * (p - 1) ** 2 < 256 else np.int64
         self._table: np.ndarray | None = None
+        # inverse index of each element, -1 until asked for; see inverse
+        self._inverses: np.ndarray | None = None
 
     # -- element codec -------------------------------------------------
 
@@ -95,7 +105,7 @@ class FiniteGroup:
             table[:, diag, diag] = 1
             table[:, self._rows, self._cols] = digits.astype(self._dtype)
             self._table = table
-        return np.take(self._table, idx, axis=0)
+        return self._table.take(idx, axis=0)
 
     def index_of(self, mats) -> np.ndarray:
         digits = np.asarray(mats)[..., self._rows, self._cols].astype(np.int64)
@@ -124,7 +134,22 @@ class FiniteGroup:
         return acc.astype(self._dtype)
 
     def inverse(self, a) -> np.ndarray:
-        return self.index_of(self._inverse_mats(self.matrices(a)))
+        """Elementwise inverse of an index array, read from the inverse index.
+
+        Elements not yet in the index are inverted together by
+        _inverse_mats, and each result is filed both ways.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        if self._inverses is None:
+            self._inverses = np.full(self.order, -1, dtype=np.int64)
+        inv = self._inverses[a]
+        missing = a[inv < 0]
+        if missing.size:
+            found = self.index_of(self._inverse_mats(self.matrices(missing)))
+            self._inverses[missing] = found
+            self._inverses[found] = missing
+            inv = self._inverses[a]
+        return inv
 
     def power(self, a, e: int) -> np.ndarray:
         """Elementwise e-th power of an index array, e >= 0."""
@@ -164,52 +189,70 @@ class FiniteGroup:
     # -- batched pair scans ----------------------------------------------
 
     def _pair_scan(self, a, b, combine) -> np.ndarray:
-        """Unique indices of combine(x, y) over the full a x b rectangle.
+        """Sorted unique indices of combine(x, y) over the full a x b rectangle.
 
-        combine receives matrix blocks that broadcast to one pair per entry.
+        combine receives index blocks of shapes (k, 1) and (1, |b|) and
+        returns one matrix per pair.
         """
         a = np.asarray(a, dtype=np.int64).ravel()
         b = np.asarray(b, dtype=np.int64).ravel()
         if a.size == 0 or b.size == 0:
             return np.empty(0, dtype=np.int64)
-        mb = self.matrices(b)[None, :]
+        b = b[None, :]
         chunk = max(1, _CHUNK_PAIRS // b.size)
-        pieces = []
-        for lo in range(0, a.size, chunk):
-            ma = self.matrices(a[lo : lo + chunk])[:, None]
-            pieces.append(np.unique(self.index_of(combine(ma, mb))))
+        pieces = [
+            _unique(self.index_of(combine(a[lo : lo + chunk, None], b)))
+            for lo in range(0, a.size, chunk)
+        ]
         if len(pieces) == 1:
             return pieces[0]
-        return np.unique(np.concatenate(pieces))
+        return _unique(np.concatenate(pieces))
 
     def commutators(self, a, b) -> np.ndarray:
         """Unique [x, y] = x^-1 y^-1 x y over all x in a, y in b."""
+        p = self.p
 
-        def combine(ma, mb):
-            t = (self._inverse_mats(ma) @ self._inverse_mats(mb)) % self.p
-            t = (t @ ma) % self.p
-            return (t @ mb) % self.p
+        def combine(x, y):
+            t = (self.matrices(self.inverse(x)) @ self.matrices(self.inverse(y))) % p
+            t = (t @ self.matrices(x)) % p
+            return (t @ self.matrices(y)) % p
 
         return self._pair_scan(a, b, combine)
 
     def conjugates(self, a, b) -> np.ndarray:
         """Unique x^-1 y x over all x in a, y in b."""
+        p = self.p
 
-        def combine(ma, mb):
-            t = (self._inverse_mats(ma) @ mb) % self.p
-            return (t @ ma) % self.p
+        def combine(x, y):
+            t = (self.matrices(self.inverse(x)) @ self.matrices(y)) % p
+            return (t @ self.matrices(x)) % p
 
         return self._pair_scan(a, b, combine)
 
     def products(self, a, b) -> np.ndarray:
         """Unique x y over all x in a, y in b."""
-        return self._pair_scan(a, b, lambda ma, mb: (ma @ mb) % self.p)
+        return self._pair_scan(
+            a, b, lambda x, y: (self.matrices(x) @ self.matrices(y)) % self.p
+        )
 
     def __repr__(self) -> str:
         return (
             f"FiniteGroup(p={self.p}, size={self.size}, "
             f"order={self.order}, positions={len(self.positions)})"
         )
+
+
+def _unique(x: np.ndarray) -> np.ndarray:
+    """Sorted distinct entries of x, flattened, as np.unique returns them.
+
+    One sort and one mask: np.unique takes a longer route, and its first
+    call imports numpy.ma.
+    """
+    x = np.sort(x, axis=None)
+    keep = np.empty(x.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
 
 
 def unitriangular_group(m: int, p: int) -> FiniteGroup:
@@ -320,7 +363,7 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
         ]
         k = -(-n // p)
         if k not in pth_powers:
-            pth_powers[k] = np.unique(group.power(chain_arrs[k - 1], p))
+            pth_powers[k] = _unique(group.power(chain_arrs[k - 1], p))
         parts.append(pth_powers[k])
         elements, kept = _closure(group, np.concatenate(parts), generators)
         chain_arrs.append(elements)
@@ -341,17 +384,21 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     Accepts any integer dtype and returns int64.  The input need not be
     reduced: the elimination reduces it itself.  At p = 2 the rows are
     bit-packed and eliminated by XOR (see _row_echelon_gf2).  At odd p one
-    column is cleared at a time, with the reduction mod p delayed (Dumas,
-    Giorgi & Pernet, ISSAC 2004): only the pivot column and the pivot row
-    are reduced, and a pivot subtracts at most (p - 1)^2 from an entry of a
-    row below it.  After k pivots without a reduction every other entry lies
-    in (-k (p - 1)^2, p); the rows below are reduced again only before that
-    bound would pass a quarter of the range of the signed type the rows are
-    held in.  That type is the narrowest of int16, int32 and int64 whose
-    limit, 2^14, 2^30 or 2^62, holds p + (p - 1)^2, so the elimination is
-    exact for p < 2^31.  A larger odd p, whose p + (p - 1)^2 passes 2^62,
-    raises ValueError.  The returned rows are reduced once, at the end,
-    and equal those of a loop that reduces after every pivot.
+    column is cleared at a time.  One scan of the reduced column finds its
+    nonzero rows; the first becomes the pivot, and as the rows between are
+    zero there, swapping it up leaves the others in place, so the scan's
+    remaining rows are exactly the rows to update.  The reduction mod p is
+    delayed (Dumas, Giorgi & Pernet, ISSAC 2004): only the pivot column and
+    the pivot row are reduced, and a pivot subtracts at most (p - 1)^2 from
+    an entry of a row below it.  After k pivots without a reduction every
+    other entry lies in (-k (p - 1)^2, p); the rows below are reduced again
+    only before that bound would pass a quarter of the range of the signed
+    type the rows are held in.  That type is the narrowest of int16, int32
+    and int64 whose limit, 2^14, 2^30 or 2^62, holds p + (p - 1)^2, so the
+    elimination is exact for p < 2^31.  A larger odd p, whose
+    p + (p - 1)^2 passes 2^62, raises ValueError.  The returned rows are
+    reduced once, at the end, and equal those of a loop that reduces after
+    every pivot.
     """
     m = np.asarray(mat)
     if m.dtype.kind not in "iu":
@@ -377,23 +424,24 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         if rank == rows:
             break
         column = m[rank:, col] % p
-        pivots = np.nonzero(column)[0]
+        pivots = column.nonzero()[0]
         if pivots.size == 0:
             continue
-        piv = rank + int(pivots[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-            column[[0, piv - rank]] = column[[piv - rank, 0]]
+        # pivots[0] is the first nonzero row, so the rows above it are zero
+        # in this column: after the swap the nonzero rows below the pivot
+        # are pivots[1:], at the same offsets and with the same entries
+        first = int(pivots[0])
+        if first:
+            m[[rank, rank + first]] = m[[rank + first, rank]]
         pivot_row = m[rank, col:] % p
-        pivot_row = (pivot_row * pow(int(pivot_row[0]), -1, p)) % p
+        pivot_row = (pivot_row * pow(int(column[first]), -1, p)) % p
         m[rank, col:] = pivot_row
-        hits = np.nonzero(column[1:])[0]
+        hits = pivots[1:]
         if hits.size:
             if bound + step > limit:
                 m[rank + 1 :, col:] %= p
                 bound = p
-            below = rank + 1 + hits
-            m[below, col:] -= np.outer(column[1 + hits], pivot_row)
+            m[rank + hits, col:] -= np.outer(column[hits], pivot_row)
             bound += step
         rank += 1
     return (m[:rank] % p).astype(np.int64)
@@ -402,20 +450,33 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     """Row-echelon form of an integer matrix over F_2, one Python int per row.
 
-    Column 0 is the top bit, so a row's leading column is fixed by its
-    bit_length.  Duplicate rows are dropped, and the distinct rows are taken
-    in increasing order, so in increasing bit_length.  Each is XORed with
-    the pivot at its current leading bit until it vanishes or reaches a
-    leading bit with no pivot, where it becomes that pivot.  Pivots in
-    descending bit_length have strictly increasing leading columns, each
-    holding a 1.
+    The rows are packed into bits and zero-padded to whole 64-bit words, so
+    column 0 is the top bit and a row's leading column is fixed by its
+    bit_length.  Rows of up to _WORD_COLUMNS words are read as big-endian
+    64-bit words, one list per word column, and assembled with one list
+    comprehension per further word column, which shifts the partial rows up
+    a word and adds that column's words.  Wider rows are read with one
+    int.from_bytes each, which costs less than that many comprehensions.
+    Duplicate rows are dropped, and the distinct rows are taken in
+    increasing order, so in increasing bit_length.  Each is XORed with the
+    pivot at its current leading bit until it vanishes or reaches a leading
+    bit with no pivot, where it becomes that pivot.  Pivots in descending
+    bit_length have strictly increasing leading columns, each holding a 1.
     """
     rows, cols = m.shape
-    width = (cols + 7) // 8
-    packed = np.packbits(m & 1, axis=1).tobytes()
-    distinct = {int.from_bytes(packed[i * width : (i + 1) * width], "big") for i in range(rows)}
+    width = 8 * -(-cols // 64)  # bytes per padded row
+    packed = np.zeros((rows, width), dtype=np.uint8)
+    packed[:, : (cols + 7) // 8] = np.packbits(m & 1, axis=1)
+    if width <= 8 * _WORD_COLUMNS:
+        columns = packed.view(">u8").T.tolist()
+        ints = columns[0] if columns else [0] * rows
+        for column in columns[1:]:
+            ints = [(row << 64) | word for row, word in zip(ints, column)]
+    else:
+        buf = packed.tobytes()
+        ints = [int.from_bytes(buf[i : i + width], "big") for i in range(0, rows * width, width)]
     pivots: dict[int, int] = {}
-    for row in sorted(distinct):
+    for row in sorted(set(ints)):
         while row:
             lead = row.bit_length()
             pivot = pivots.get(lead)
@@ -441,7 +502,7 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     p = group.p
     all_idx = np.arange(n_el, dtype=np.int64)
     # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates
-    gathers = [group.mult(all_idx, group.inverse(s)) for s in group.generators()]
+    gathers = [group.mult(all_idx, inv) for inv in group.inverse(group.generators())]
 
     # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
     # lies in [0, 2p); row_echelon_mod_p reduces its input itself

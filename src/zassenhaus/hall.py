@@ -16,6 +16,10 @@ from .numtheory import is_prime, w_free_closed
 MAX_BASIS_ELEMENTS = 100_000
 
 
+class BasisArgumentError(ValueError):
+    """A rank, weight, prime or degree for which no basis is defined."""
+
+
 class BasisTooLarge(ValueError):
     """The requested basis has more than MAX_BASIS_ELEMENTS elements."""
 
@@ -60,9 +64,9 @@ def hall_commutators(d: int, max_weight: int) -> list[list[str]]:
     Entry [0] is empty padding so that result[w] is the weight-w layer.
     """
     if d < 1:
-        raise ValueError(f"rank must be >= 1, got {d}")
+        raise BasisArgumentError(f"rank must be >= 1, got {d}")
     if max_weight < 1:
-        raise ValueError(f"max weight must be >= 1, got {max_weight}")
+        raise BasisArgumentError(f"max weight must be >= 1, got {max_weight}")
     layers = _layers(d, max_weight)
     return [[]] + [layers.get(w, [])[::-1] for w in range(1, max_weight + 1)]
 
@@ -84,11 +88,11 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     and a basis over MAX_BASIS_ELEMENTS raises BasisTooLarge unenumerated.
     """
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+        raise BasisArgumentError(f"p must be prime, got {p}")
     if d < 1:
-        raise ValueError(f"rank must be >= 1, got {d}")
+        raise BasisArgumentError(f"rank must be >= 1, got {d}")
     if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
+        raise BasisArgumentError(f"degree must be >= 1, got {n}")
     k = 0
     m = n
     while m % p == 0:

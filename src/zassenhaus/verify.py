@@ -24,6 +24,7 @@ from .groupspec import (
     Free,
     FreeProduct,
     GroupSpec,
+    NegativeOrder,
     closed_form,
     hp_series,
     parse_group_spec,
@@ -157,6 +158,8 @@ def superpyth_c_expected(d: int, order: int) -> list[int]:
 
 
 def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
+    if order < 0:
+        raise NegativeOrder("order must be >= 0")
     out = []
     degrees = range(1, order + 1)
 

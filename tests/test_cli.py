@@ -259,6 +259,33 @@ class TestExitCodes:
         code, _, err = run(["basis", "0", "--degree", "2"], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["basis", "0"], "rank must be >= 1, got 0"),
+        (["basis", "2", "--degree", "0"], "degree must be >= 1, got 0"),
+        (["basis", "2", "--prime", "4"], "p must be prime, got 4"),
+    ])
+    def test_basis_arguments_are_validation_errors(self, capsys, argv, message):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == f"validation error: {message}\n"
+
+    @pytest.mark.parametrize("exc", [
+        ValueError("plain value error"),
+        RuntimeError("internal fault"),
+        ValueError("first line\nsecond line"),
+    ])
+    def test_unexpected_exception_exits_5(self, capsys, monkeypatch, exc):
+        # a command that fails with anything but the program's typed errors
+        # is a fault of the program, not of its input
+        def explode(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_dims", explode)
+        code, out, err = run(["dims", "free(2)"], capsys)
+        assert code == 5 and out == ""
+        detail = str(exc).replace("\n", " ")
+        assert err == f"internal error: {type(exc).__name__}: {detail}\n"
+
     def test_integrality_maps_to_4(self, capsys, monkeypatch):
         def explode(spec, p, order):
             raise NonIntegralW(3, Fraction(1, 3))
@@ -327,6 +354,7 @@ class TestExitCodes:
         ["series", "free(2)", "--max-n", "-3"],
         ["verify", "--suite", "roundtrip", "--max-n", "-1"],
         ["verify", "--max-n", "-2"],
+        ["verify", "--suite", "closedforms", "--max-n", "-1"],
     ])
     def test_negative_max_n_is_validation_error(self, capsys, argv, fmt):
         code, out, err = run(argv + ["--format", fmt], capsys)

@@ -6,6 +6,7 @@ from zassenhaus.dimensions import dims_table, w_free_closed
 from zassenhaus.groupspec import Free
 from zassenhaus.hall import (
     MAX_BASIS_ELEMENTS,
+    BasisArgumentError,
     BasisTooLarge,
     basis_text_lines,
     hall_commutators,
@@ -103,9 +104,9 @@ class TestLayers:
         assert layers[3].index("[[x1,x2],x1]") < layers[3].index("[[x1,x2],x2]")
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BasisArgumentError, match="rank must be >= 1"):
             hall_commutators(0, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(BasisArgumentError, match="max weight must be >= 1"):
             hall_commutators(2, 0)
 
 
@@ -145,11 +146,12 @@ class TestBasis:
             assert len(zassenhaus_basis(d, p, n)) == table.c[n]
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
+        # a typed error, which the CLI reports as a validation error (exit 3)
+        with pytest.raises(BasisArgumentError, match="rank must be >= 1"):
             zassenhaus_basis(0, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BasisArgumentError, match="p must be prime"):
             zassenhaus_basis(2, 4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(BasisArgumentError, match="degree must be >= 1"):
             zassenhaus_basis(2, 2, 0)
 
     def test_oversized_basis_refused_before_enumeration(self, monkeypatch):
