@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -35,11 +36,6 @@ ENV_CAP = "ZASS_MAX_ELEMENTS"
 
 # pair count per decode/matmul chunk; keeps intermediates in the tens of MB
 _CHUNK_PAIRS = 1 << 21
-
-# widest F_2 rows, in 64-bit words, that _row_echelon_gf2 assembles word
-# column by word column; past about three words one int.from_bytes per row
-# is faster
-_WORD_COLUMNS = 2
 
 
 class TooLarge(ValueError):
@@ -450,31 +446,20 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
 def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     """Row-echelon form of an integer matrix over F_2, one Python int per row.
 
-    The rows are packed into bits and zero-padded to whole 64-bit words, so
-    column 0 is the top bit and a row's leading column is fixed by its
-    bit_length.  Rows of up to _WORD_COLUMNS words are read as big-endian
-    64-bit words, one list per word column, and assembled with one list
-    comprehension per further word column, which shifts the partial rows up
-    a word and adds that column's words.  Wider rows are read with one
-    int.from_bytes each, which costs less than that many comprehensions.
-    Duplicate rows are dropped, and the distinct rows are taken in
-    increasing order, so in increasing bit_length.  Each is XORed with the
-    pivot at its current leading bit until it vanishes or reaches a leading
-    bit with no pivot, where it becomes that pivot.  Pivots in descending
-    bit_length have strictly increasing leading columns, each holding a 1.
+    The rows are packed into bits, column 0 the top bit, so a row's leading
+    column is fixed by its bit_length.  A view of the packed rows as one
+    opaque item per row turns each into a bytes object without a Python
+    loop, and map(int.from_bytes) reads them as big-endian ints.  Duplicate
+    rows are dropped, and the distinct rows are taken in increasing order,
+    so in increasing bit_length.  Each is XORed with the pivot at its
+    current leading bit until it vanishes or reaches a leading bit with no
+    pivot, where it becomes that pivot.  Pivots in descending bit_length
+    have strictly increasing leading columns, each holding a 1.
     """
-    rows, cols = m.shape
-    width = 8 * -(-cols // 64)  # bytes per padded row
-    packed = np.zeros((rows, width), dtype=np.uint8)
-    packed[:, : (cols + 7) // 8] = np.packbits(m & 1, axis=1)
-    if width <= 8 * _WORD_COLUMNS:
-        columns = packed.view(">u8").T.tolist()
-        ints = columns[0] if columns else [0] * rows
-        for column in columns[1:]:
-            ints = [(row << 64) | word for row, word in zip(ints, column)]
-    else:
-        buf = packed.tobytes()
-        ints = [int.from_bytes(buf[i : i + width], "big") for i in range(0, rows * width, width)]
+    cols = m.shape[1]
+    width = (cols + 7) // 8
+    packed = np.packbits(m & 1, axis=1)
+    ints = map(int.from_bytes, packed.view(f"V{width}").ravel().tolist(), repeat("big"))
     pivots: dict[int, int] = {}
     for row in sorted(set(ints)):
         while row:

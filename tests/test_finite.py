@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from zassenhaus import finite as fin
 
@@ -121,6 +123,54 @@ class TestArithmetic:
             assert (g.mult(g.inverse(idx), idx) == g.identity).all()
             assert (g.mult(idx, g.inverse(idx)) == g.identity).all()
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: fin.unitriangular_group(3, 2),
+            lambda: fin.unitriangular_group(4, 3),
+            lambda: fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)),
+            # 3 * 16^2 exceeds the uint8 budget: the int64 path
+            lambda: fin.unitriangular_group(3, 17),
+        ],
+        ids=["U(3,2)", "U(4,3)", "U(4,2)xU(2,2)", "U(3,17)"],
+    )
+    def test_cached_inverse_matches_power_series(self, make):
+        g = make()
+        idx = np.arange(g.order, dtype=np.int64)
+        want = g.index_of(g._inverse_mats(g.matrices(idx)))
+        # a partly filled index: some elements, with repeats, then 2-D
+        # blocks as the pair scans pass them, then every element
+        some = np.random.default_rng(g.order).integers(0, g.order, size=30)
+        got = g.inverse(some)
+        assert got.dtype == np.int64 and (got == want[some]).all()
+        assert (g.inverse(idx[::3, None]) == want[::3, None]).all()
+        assert (g.inverse(idx) == want).all()
+        assert (g._inverses == want).all()
+        assert (make().inverse(idx) == want).all()
+
+    def test_inverse_index_is_filled_once(self, monkeypatch):
+        g = fin.unitriangular_group(4, 3)
+        inverted = []
+        inverse_mats = fin.FiniteGroup._inverse_mats
+
+        def counting(self, mats):
+            inverted.append(len(mats))
+            return inverse_mats(self, mats)
+
+        monkeypatch.setattr(fin.FiniteGroup, "_inverse_mats", counting)
+        assert g._inverses is None
+        x = g.inverse([5, 7, 5])
+        assert inverted == [3]
+        # each result is filed both ways: the inverses need no new call
+        assert (g.inverse(x) == [5, 7, 5]).all() and inverted == [3]
+        everyone = np.arange(g.order)
+        g.inverse(everyone)
+        inverted.clear()
+        g.commutators(everyone[:40], everyone[40:80])
+        g.conjugates(g.generators(), everyone)
+        fin.group_algebra_aug_dims(g, 2)
+        assert inverted == []
+
     def test_power(self):
         g = fin.unitriangular_group(3, 3)
         idx = np.arange(g.order)
@@ -178,6 +228,26 @@ class TestArithmetic:
         for one, many in zip(whole, scans()):
             assert one.dtype == many.dtype == np.int64
             assert (one == many).all() and (np.diff(one) > 0).all()
+
+
+_unique_inputs = st.lists(
+    st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)), max_size=50
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_unique_inputs, st.booleans())
+@example([], False)
+@example([7], False)
+@example([4, 4, 4, -1, 4, -1], True)
+def test_unique_matches_np_unique(values, column):
+    x = np.array(values, dtype=np.int64)
+    if column:  # a 2-D block, flattened as np.unique flattens it
+        x = x[:, None]
+    got = fin._unique(x)
+    want = np.unique(x)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape and (got == want).all()
 
 
 class TestGenerators:
@@ -312,7 +382,9 @@ class TestGroupAlgebra:
     @pytest.mark.parametrize(
         "shape",
         [(0, 0), (0, 5), (3, 0), (1, 1), (6, 1), (1, 9), (5, 7), (17, 8),
-         (40, 13), (9, 70), (130, 20), (24, 129)],
+         (40, 13), (9, 70), (130, 20), (24, 129),
+         # whole and part 64-bit words, up to the U(5, 2) group algebra
+         (70, 64), (33, 65), (150, 128), (40, 1024)],
     )
     def test_gf2_matches_column_loop(self, shape, seed):
         rng = np.random.default_rng(seed)
@@ -370,6 +442,26 @@ class TestGroupAlgebra:
         ]:
             want = _column_loop_echelon(mat, p)
             got = fin.row_echelon_mod_p(mat, p)
+            assert got.dtype == np.int64
+            assert got.shape == want.shape and (got == want).all()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_pivots_below_the_top_row(self, p):
+        # every row starts with a run of zeros; sorted by run length, longest
+        # first, each column's first nonzero row lies below the rows not yet
+        # used, so most pivots are swapped up from further down (22 to 30 of
+        # the 30 here, in either row order)
+        rng = np.random.default_rng(100 + p)
+        rows, cols = 80, 30
+        runs = rng.integers(0, cols + 1, size=rows)
+        mat = rng.integers(0, 2 * p, size=(rows, cols))
+        mat[np.arange(cols) < runs[:, None]] = 0
+        mat[5] = mat[60] + p  # a duplicate row, unreduced
+        by_run = np.argsort(-runs, kind="stable")
+        assert runs[by_run[0]] > runs[by_run[-1]] == 0
+        for order in (by_run, rng.permutation(rows)):
+            want = _column_loop_echelon(mat[order], p)
+            got = fin.row_echelon_mod_p(mat[order], p)
             assert got.dtype == np.int64
             assert got.shape == want.shape and (got == want).all()
 

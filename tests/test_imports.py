@@ -78,6 +78,14 @@ def test_roundtrip_verify_loads_no_numpy():
     assert "numpy" not in modules and "zassenhaus.finite" not in modules
 
 
+def test_finite_verify_loads_no_numpy_ma():
+    # np.unique imports numpy.ma on its first call, 13 to 16 ms of a launch;
+    # the finite oracle dedupes with its own sort and mask
+    modules = _modules_after_main(["verify", "--suite", "finite"])
+    assert "zassenhaus.finite" in modules and "numpy" in modules
+    assert "numpy.ma" not in modules
+
+
 def test_package_names_resolve_on_first_use():
     out = _run("""
         import json, sys
