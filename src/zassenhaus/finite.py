@@ -46,6 +46,10 @@ class InvalidCap(ValueError):
     """The element cap in the environment is not a positive integer."""
 
 
+class NonPrimeModulus(ValueError):
+    """The matrix entries of a group would not lie in a prime field F_p."""
+
+
 def element_cap() -> int:
     """The element cap: ZASS_MAX_ELEMENTS if set, else DEFAULT_ELEMENT_CAP."""
     env = os.environ.get(ENV_CAP)
@@ -64,6 +68,11 @@ class FiniteGroup:
     """Matrix p-group with elements addressed by integer index; index 0 = 1."""
 
     def __init__(self, p: int, size: int, positions):
+        # imported here, so that importing this module loads no other one
+        from .numtheory import is_prime
+
+        if not is_prime(p):
+            raise NonPrimeModulus(f"matrix entries must lie in F_p for a prime p, got p = {p}")
         self.p = p
         self.size = size
         self.positions = tuple(positions)
@@ -334,36 +343,30 @@ def _log_p_exact(ratio: int, p: int) -> int:
 
 
 def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationResult:
-    """Filtration from Lazard's recursion
+    """Filtration from Jennings' recursion (Trans. AMS 1941)
 
-        G_(1) = G,
-        G_(n) = < p-th powers of G_(ceil(n/p)),  [G_(i), G_(j)] for i + j = n >.
+        G_(1) = G,  G_(n) = [G_(n-1), G] G_(ceil(n/p))^p.
 
     Every term is normal, and the p-th powers of a normal subgroup form a set
-    closed under conjugation, so by fact (a) of the module docstring G_(n) is
-    the normal closure of the p-th powers of all elements of G_(ceil(n/p))
-    and of [x, y] for x, y in the kept generators of G_(i), G_(j), i <= j.
+    closed under conjugation, so by fact (a) of the module docstring, with
+    H = G_(n-1) and K = G, G_(n) is the normal closure of the p-th powers of
+    all elements of G_(ceil(n/p)) and of [x, s] for x in the kept generators
+    of G_(n-1) and s in the generators of G: one commutator scan per degree.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = group.p
-    generators = group.generators()
-    chain_arrs: list[np.ndarray] = [np.arange(group.order, dtype=np.int64)]
-    chain_gens: list[np.ndarray] = [generators]
+    kept = generators = group.generators()
+    chain_arrs = [np.arange(group.order, dtype=np.int64)]
     # p-th powers of G_(k), shared by the up to p degrees n with ceil(n/p) = k
     pth_powers: dict[int, np.ndarray] = {}
     for n in range(2, depth + 2):
-        parts = [
-            group.commutators(chain_gens[i - 1], chain_gens[n - i - 1])
-            for i in range(1, n // 2 + 1)
-        ]
         k = -(-n // p)
         if k not in pth_powers:
             pth_powers[k] = _unique(group.power(chain_arrs[k - 1], p))
-        parts.append(pth_powers[k])
-        elements, kept = _closure(group, np.concatenate(parts), generators)
+        candidates = np.concatenate([group.commutators(kept, generators), pth_powers[k]])
+        elements, kept = _closure(group, candidates, generators)
         chain_arrs.append(elements)
-        chain_gens.append(np.array(kept, dtype=np.int64))
     chain_sets = [frozenset(arr.tolist()) for arr in chain_arrs]
     dims = []
     for n in range(depth):
@@ -483,6 +486,8 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     by b s - b over basis vectors b of I^n and the generators s, and right
     multiplication by s permutes coordinates.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
     n_el = group.order
     p = group.p
     all_idx = np.arange(n_el, dtype=np.int64)

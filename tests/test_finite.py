@@ -97,6 +97,15 @@ class TestGroupConstruction:
         g = fin.direct_product(fin.cyclic_group(2), fin.unitriangular_group(3, 2))
         assert g.order == 16
 
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
+    def test_non_prime_modulus(self, p):
+        # p = 4 built a 64-element group whose filtration and group algebra
+        # both failed, p = 1 ended in an IndexError and p = 0 had order 0
+        with pytest.raises(fin.NonPrimeModulus, match=f"got p = {p}$"):
+            fin.unitriangular_group(3, p)
+        with pytest.raises(fin.NonPrimeModulus):
+            fin.FiniteGroup(p, 2, [(0, 1)])
+
 
 class TestArithmetic:
     def test_mult_matches_matrices(self):
@@ -344,6 +353,32 @@ class TestFiltration:
         for big, small in zip(f.subgroups, f.subgroups[1:]):
             assert small <= big
 
+    def test_depth_below_one(self):
+        for depth in (0, -1):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                fin.zassenhaus_filtration_finite(fin.cyclic_group(2), depth)
+
+    def test_one_commutator_scan_per_degree(self, monkeypatch):
+        # Jennings: G_(n) = [G_(n-1), G] G_(ceil(n/p))^p, so degree n scans
+        # the kept generators of G_(n-1) against the group's generators only
+        scans = []
+        commutators = fin.FiniteGroup.commutators
+
+        def recording(self, a, b):
+            scans.append((np.array(a), np.array(b)))
+            return commutators(self, a, b)
+
+        monkeypatch.setattr(fin.FiniteGroup, "commutators", recording)
+        g = fin.unitriangular_group(5, 2)
+        f = fin.zassenhaus_filtration_finite(g, 5)
+        assert f.dims == (4, 3, 2, 1, 0)
+        assert len(scans) == 5
+        for prev, (a, b) in zip(f.subgroups, scans):
+            assert (b == g.generators()).all()
+            # kept generators, not all elements, and they generate G_(n-1)
+            assert len(a) <= 10
+            assert fin.subgroup_closure(g, a) == prev
+
 
 def _column_loop_echelon(mat, p):
     """Reference: clear one column at a time with int64 rows, at every p."""
@@ -525,6 +560,12 @@ class TestGroupAlgebra:
         g = fin.unitriangular_group(3, 2)
         assert fin.group_algebra_aug_dims(g, 5) == [1, 2, 2, 2, 1, 0]
 
+    def test_negative_depth(self):
+        g = fin.unitriangular_group(3, 2)
+        with pytest.raises(ValueError, match="depth must be >= 0, got -2"):
+            fin.group_algebra_aug_dims(g, -2)
+        assert fin.group_algebra_aug_dims(g, 0) == [1]
+
     def test_dims_sum_to_group_order(self):
         for g in [
             fin.unitriangular_group(3, 3),
@@ -539,7 +580,8 @@ class TestGroupAlgebra:
 
 def _literal_filtration(group, depth):
     """G_(n) = < G_(ceil(n/p))^p, [G_(i), G_(j)] for i + j = n >, scanning
-    every element and every commutator pair; no generating sets."""
+    every element and every commutator pair; no generating sets.  This is
+    Lazard's form, not the Jennings recursion the oracle uses."""
     chain = [frozenset(range(group.order))]
     for n in range(2, depth + 2):
         parts = [group.power(sorted(chain[-(-n // group.p) - 1]), group.p)]
@@ -590,11 +632,29 @@ def _small_groups():
     }
 
 
+def _larger_groups():
+    u, dp = fin.unitriangular_group, fin.direct_product
+    return {
+        "U(3,5)": u(3, 5),
+        "U(4,2)xU(2,2)": dp(u(4, 2), u(2, 2)),
+        "U(3,3)xU(2,3)": dp(u(3, 3), u(2, 3)),
+    }
+
+
 class TestIndependence:
     @pytest.mark.parametrize("name", sorted(_small_groups()))
     def test_filtration_matches_literal(self, name):
         group = _small_groups()[name]
         assert group.order <= 64
+        chain, dims = _literal_filtration(group, 5)
+        fast = fin.zassenhaus_filtration_finite(group, 5)
+        assert fast.subgroups == chain
+        assert fast.dims == dims
+
+    @pytest.mark.parametrize("name", sorted(_larger_groups()))
+    def test_larger_filtration_matches_literal(self, name):
+        group = _larger_groups()[name]
+        assert group.order > 64
         chain, dims = _literal_filtration(group, 5)
         fast = fin.zassenhaus_filtration_finite(group, 5)
         assert fast.subgroups == chain
