@@ -375,7 +375,7 @@ class TestFiltration:
         assert len(scans) == 5
         for prev, (a, b) in zip(f.subgroups, scans):
             assert (b == g.generators()).all()
-            # kept generators, not all elements, and they generate G_(n-1)
+            # kept generators, at most log_2 |G| = 10 of them, that generate G_(n-1)
             assert len(a) <= 10
             assert fin.subgroup_closure(g, a) == prev
 
@@ -641,24 +641,23 @@ def _larger_groups():
     }
 
 
+def _assert_filtration_matches_literal(group):
+    chain, dims = _literal_filtration(group, 5)
+    fast = fin.zassenhaus_filtration_finite(group, 5)
+    assert fast.subgroups == chain
+    assert fast.dims == dims
+
+
 class TestIndependence:
     @pytest.mark.parametrize("name", sorted(_small_groups()))
     def test_filtration_matches_literal(self, name):
         group = _small_groups()[name]
         assert group.order <= 64
-        chain, dims = _literal_filtration(group, 5)
-        fast = fin.zassenhaus_filtration_finite(group, 5)
-        assert fast.subgroups == chain
-        assert fast.dims == dims
+        _assert_filtration_matches_literal(group)
 
     @pytest.mark.parametrize("name", sorted(_larger_groups()))
     def test_larger_filtration_matches_literal(self, name):
-        group = _larger_groups()[name]
-        assert group.order > 64
-        chain, dims = _literal_filtration(group, 5)
-        fast = fin.zassenhaus_filtration_finite(group, 5)
-        assert fast.subgroups == chain
-        assert fast.dims == dims
+        _assert_filtration_matches_literal(_larger_groups()[name])
 
     @pytest.mark.parametrize("name", sorted(_small_groups()))
     def test_aug_dims_match_literal(self, name):
