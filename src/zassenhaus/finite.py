@@ -22,6 +22,11 @@ theory and nothing of the series pipeline they check:
     I^(n+1) = span{ b (s - 1) : b in basis(I^n), s in S }.  Proof:
     gh - 1 = g(h - 1) + (g - 1) and I^n is an ideal, so b (g - 1) for every
     g in G is a combination of such rows, by induction on word length.
+(c) for any generating set S of G, G^p [G, G] is the normal closure of
+    {[s, t] : s, t in S} and {s^p : s in S}.  Proof: that closure lies in
+    the normal subgroup G^p [G, G]; modulo it G is abelian and generated by
+    elements of order dividing p, so every g^p and every commutator lies in
+    it too.
 """
 from __future__ import annotations
 
@@ -352,6 +357,10 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     H = G_(n-1) and K = G, G_(n) is the normal closure of the p-th powers of
     all elements of G_(ceil(n/p)) and of [x, s] for x in the kept generators
     of G_(n-1) and s in the generators of G: one commutator scan per degree.
+    G_(2) = G^p [G, G], so by fact (c) the p-th powers of the generators
+    stand in for those of all of G there.  At p = 2 that is all G^p is
+    needed for, and only the generators are squared; at odd p the degrees
+    3..p take all of G^p, which then serves G_(2) too.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -360,6 +369,8 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     chain_arrs = [np.arange(group.order, dtype=np.int64)]
     # p-th powers of G_(k), shared by the up to p degrees n with ceil(n/p) = k
     pth_powers: dict[int, np.ndarray] = {}
+    if p == 2:
+        pth_powers[1] = group.power(generators, p)
     for n in range(2, depth + 2):
         k = -(-n // p)
         if k not in pth_powers:
@@ -422,7 +433,8 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
     for col in range(cols):
         if rank == rows:
             break
-        column = m[rank:, col] % p
+        below = m[rank:]  # a view: the rows not yet holding a pivot
+        column = below[:, col] % p
         pivots = column.nonzero()[0]
         if pivots.size == 0:
             continue
@@ -431,16 +443,18 @@ def row_echelon_mod_p(mat: np.ndarray, p: int) -> np.ndarray:
         # are pivots[1:], at the same offsets and with the same entries
         first = int(pivots[0])
         if first:
-            m[[rank, rank + first]] = m[[rank + first, rank]]
-        pivot_row = m[rank, col:] % p
-        pivot_row = (pivot_row * pow(int(column[first]), -1, p)) % p
-        m[rank, col:] = pivot_row
+            below[[0, first]] = below[[first, 0]]
+        pivot_row = below[0, col:] % p
+        lead = int(column[first])
+        if lead != 1:
+            pivot_row = (pivot_row * pow(lead, -1, p)) % p
+        below[0, col:] = pivot_row
         hits = pivots[1:]
         if hits.size:
             if bound + step > limit:
-                m[rank + 1 :, col:] %= p
+                below[1:, col:] %= p
                 bound = p
-            m[rank + hits, col:] -= np.outer(column[hits], pivot_row)
+            below[hits, col:] -= column[hits, None] * pivot_row
             bound += step
         rank += 1
     return (m[:rank] % p).astype(np.int64)
@@ -456,24 +470,28 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     rows are dropped, and the distinct rows are taken in increasing order,
     so in increasing bit_length.  Each is XORed with the pivot at its
     current leading bit until it vanishes or reaches a leading bit with no
-    pivot, where it becomes that pivot.  Pivots in descending bit_length
+    pivot, where it becomes that pivot.  The pivots sit in a list indexed
+    by bit_length, 0 where there is none.  Pivots in descending bit_length
     have strictly increasing leading columns, each holding a 1.
     """
     cols = m.shape[1]
     width = (cols + 7) // 8
     packed = np.packbits(m & 1, axis=1)
     ints = map(int.from_bytes, packed.view(f"V{width}").ravel().tolist(), repeat("big"))
-    pivots: dict[int, int] = {}
+    pivots = [0] * (8 * width + 1)
+    leads = []
     for row in sorted(set(ints)):
         while row:
             lead = row.bit_length()
-            pivot = pivots.get(lead)
-            if pivot is None:
+            pivot = pivots[lead]
+            if not pivot:
                 pivots[lead] = row
+                leads.append(lead)
                 break
             row ^= pivot
-    out = b"".join(pivots[lead].to_bytes(width, "big") for lead in sorted(pivots, reverse=True))
-    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(pivots), width)
+    leads.sort(reverse=True)
+    out = b"".join(pivots[lead].to_bytes(width, "big") for lead in leads)
+    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(leads), width)
     return np.unpackbits(bits, axis=1, count=cols).astype(np.int64)
 
 
@@ -491,20 +509,30 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     n_el = group.order
     p = group.p
     all_idx = np.arange(n_el, dtype=np.int64)
-    # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates
-    gathers = [group.mult(all_idx, inv) for inv in group.inverse(group.generators())]
+    # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates,
+    # one row of gathers per generator s
+    gathers = group.mult(all_idx[None, :], group.inverse(group.generators())[:, None])
 
     # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
-    # lies in [0, 2p); row_echelon_mod_p reduces its input itself
+    # lies in [0, 2p); row_echelon_mod_p reduces its input itself.  At p = 2
+    # the entries are 0 and 1, and b s ^ b is b s - b mod 2
     dtype = np.min_scalar_type(2 * p)
     basis = np.zeros((n_el - 1, n_el), dtype=dtype)
     basis[:, 1:] = np.eye(n_el - 1, dtype=dtype)
     basis[:, group.identity] = p - 1
 
     ranks = [n_el, basis.shape[0]]
-    while basis.shape[0] and len(ranks) <= depth:
-        stacked = np.vstack([basis[:, inv] + (p - basis) for inv in gathers])
-        basis = row_echelon_mod_p(stacked, p).astype(dtype)
+    while basis.shape[0] and len(ranks) <= depth + 1:
+        # moved[i, j] is basis row j times generator i: the stack holds one
+        # block of all basis rows per generator, in that order, which the
+        # pivots at odd p depend on
+        moved = basis[:, gathers].transpose(1, 0, 2)
+        stacked = np.empty(moved.shape, dtype=dtype)
+        if p == 2:
+            np.bitwise_xor(moved, basis, out=stacked)
+        else:
+            np.add(moved, p - basis, out=stacked)
+        basis = row_echelon_mod_p(stacked.reshape(-1, n_el), p).astype(dtype)
         ranks.append(basis.shape[0])
     while len(ranks) <= depth + 1:
         ranks.append(0)

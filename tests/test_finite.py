@@ -379,6 +379,40 @@ class TestFiltration:
             assert len(a) <= 10
             assert fin.subgroup_closure(g, a) == prev
 
+    def test_second_term_from_generator_powers(self, monkeypatch):
+        # fact (c): G_(2) takes the squares of the 4 generators, not of all
+        # of G, and at p = 2 no later degree squares G_(1) either; degrees
+        # 3..7 square G_(2), G_(3) and G_(4), as ceil(n/2) asks
+        g = fin.unitriangular_group(5, 2)
+        chain, dims = _literal_filtration(g, 6)
+        inputs = []
+        power = fin.FiniteGroup.power
+
+        def recording(self, a, e):
+            inputs.append(np.array(a))
+            return power(self, a, e)
+
+        monkeypatch.setattr(fin.FiniteGroup, "power", recording)
+        f = fin.zassenhaus_filtration_finite(g, 6)
+        assert f.subgroups == chain and f.dims == dims
+        assert (inputs[0] == g.generators()).all()
+        assert [len(a) for a in inputs] == [4, 64, 8, 2]
+        assert [frozenset(a.tolist()) for a in inputs[1:]] == list(chain[1:4])
+
+    def test_odd_p_raises_the_group_to_the_p_th_power_once(self, monkeypatch):
+        # degrees 2 and 3 of U(4, 3) share G_(1)^3, degrees 4 and 5 G_(2)^3
+        g = fin.unitriangular_group(4, 3)
+        sizes = []
+        power = fin.FiniteGroup.power
+
+        def recording(self, a, e):
+            sizes.append(np.size(a))
+            return power(self, a, e)
+
+        monkeypatch.setattr(fin.FiniteGroup, "power", recording)
+        assert fin.zassenhaus_filtration_finite(g, 4).dims == (3, 2, 1, 0)
+        assert sizes == [729, 27]
+
 
 def _column_loop_echelon(mat, p):
     """Reference: clear one column at a time with int64 rows, at every p."""
@@ -546,6 +580,30 @@ class TestGroupAlgebra:
         # I^2..I^5, each stacked from 2 generators times the rank before it
         assert calls == [14, 10, 6, 2]
 
+    def test_gathers_in_one_mult_call(self, monkeypatch):
+        g = fin.unitriangular_group(4, 2)
+        want = _literal_aug_dims(g, 12)
+        calls = []
+        mult = fin.FiniteGroup.mult
+
+        def counting(self, a, b):
+            calls.append((np.shape(a), np.shape(b)))
+            return mult(self, a, b)
+
+        monkeypatch.setattr(fin.FiniteGroup, "mult", counting)
+        assert fin.group_algebra_aug_dims(g, 12) == want
+        # every generator's gather at once: (1, |G|) against (3 generators, 1)
+        assert calls == [((1, 64), (3, 1))]
+
+    @pytest.mark.parametrize("name", ["U(3,2)", "U(3,3)", "C2xU(3,2)"])
+    def test_depth_below_nilpotency(self, name):
+        # a_depth is dim I^depth / I^(depth+1) even where I^(depth+1) != 0
+        group = _small_groups()[name]
+        full = fin.group_algebra_aug_dims(group, 12)
+        assert full[-1] == 0
+        for depth in range(12):
+            assert fin.group_algebra_aug_dims(group, depth) == full[: depth + 1]
+
     def test_cyclic2(self):
         assert fin.group_algebra_aug_dims(fin.cyclic_group(2), 2) == [1, 1, 0]
 
@@ -674,6 +732,33 @@ class TestIndependence:
             assert fin.subgroup_closure(group, group.generators()) == frozenset(
                 range(group.order)
             )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+class TestTrivialGroup:
+    """U(1, p) has order 1 and no generators; a trivial direct factor
+    changes neither route."""
+
+    def test_order_one(self, p):
+        g = fin.unitriangular_group(1, p)
+        assert g.order == 1 and g.generators().size == 0
+        f = fin.zassenhaus_filtration_finite(g, 3)
+        assert f.dims == (0, 0, 0)
+        assert f.subgroups == (frozenset({0}),) * 4
+        assert fin.group_algebra_aug_dims(g, 3) == [1, 0, 0, 0]
+
+    def test_trivial_direct_factor(self, p):
+        u3 = fin.unitriangular_group(3, p)
+        g = fin.direct_product(fin.unitriangular_group(1, p), u3)
+        assert g.order == u3.order
+        chain, dims = _literal_filtration(g, 5)
+        f = fin.zassenhaus_filtration_finite(g, 5)
+        assert f.subgroups == chain == fin.zassenhaus_filtration_finite(u3, 5).subgroups
+        assert f.dims == dims == (2, 1, 0, 0, 0)
+        depth = 3 * p
+        want = _literal_aug_dims(g, depth)
+        assert fin.group_algebra_aug_dims(g, depth) == want
+        assert fin.group_algebra_aug_dims(u3, depth) == want
 
 
 class TestAugmentationStacks:
