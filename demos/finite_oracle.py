@@ -1,9 +1,10 @@
 """Brute-force cross-checks on honest finite groups.
 
-The filtration G_(n) = G_(ceil(n/p))^p prod [G_(i), G_(j)] is evaluated
-as a normal closure of p-th powers and of commutators of generators, with
-vectorized matrix arithmetic. Nothing here knows any series formula, which
-is what makes the agreement informative.
+The filtration is built by Jennings' recursion
+G_(1) = G, G_(n) = [G_(n-1), G] G_(ceil(n/p))^p, each term the normal
+closure of the commutators of its predecessor's generators with those of
+G and of p-th powers, with vectorized matrix arithmetic. Nothing here
+knows any series formula, which is what makes the agreement informative.
 """
 import numpy as np
 
