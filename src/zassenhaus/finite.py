@@ -22,11 +22,13 @@ theory and nothing of the series pipeline they check:
     I^(n+1) = span{ b (s - 1) : b in basis(I^n), s in S }.  Proof:
     gh - 1 = g(h - 1) + (g - 1) and I^n is an ideal, so b (g - 1) for every
     g in G is a combination of such rows, by induction on word length.
-(c) for any generating set S of G, G^p [G, G] is the normal closure of
-    {[s, t] : s, t in S} and {s^p : s in S}.  Proof: that closure lies in
-    the normal subgroup G^p [G, G]; modulo it G is abelian and generated by
-    elements of order dividing p, so every g^p and every commutator lies in
-    it too.
+(c) for any generating set S of G, any n <= p and any normal subgroup N
+    of G that contains gamma_n(G), G^p N is the normal closure of N and
+    {s^p : s in S}.  Proof: that closure C lies in the normal subgroup
+    G^p N.  Modulo C, G has class below n <= p, so it is regular (P. Hall,
+    Proc. LMS 1934), and in a regular p-group the elements of order
+    dividing p form a subgroup.  That subgroup holds the images of S, so it
+    is all of G/C, and every g^p lies in C.
 """
 from __future__ import annotations
 
@@ -357,10 +359,9 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     H = G_(n-1) and K = G, G_(n) is the normal closure of the p-th powers of
     all elements of G_(ceil(n/p)) and of [x, s] for x in the kept generators
     of G_(n-1) and s in the generators of G: one commutator scan per degree.
-    G_(2) = G^p [G, G], so by fact (c) the p-th powers of the generators
-    stand in for those of all of G there.  At p = 2 that is all G^p is
-    needed for, and only the generators are squared; at odd p the degrees
-    3..p take all of G^p, which then serves G_(2) too.
+    At n <= p, where ceil(n/p) = 1, [G_(n-1), G] contains gamma_n(G), so
+    by fact (c) the p-th powers of the generators stand in for those of all
+    of G: G itself is never raised to the p-th power.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -368,9 +369,7 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     kept = generators = group.generators()
     chain_arrs = [np.arange(group.order, dtype=np.int64)]
     # p-th powers of G_(k), shared by the up to p degrees n with ceil(n/p) = k
-    pth_powers: dict[int, np.ndarray] = {}
-    if p == 2:
-        pth_powers[1] = group.power(generators, p)
+    pth_powers = {1: group.power(generators, p)}
     for n in range(2, depth + 2):
         k = -(-n // p)
         if k not in pth_powers:
@@ -479,19 +478,17 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     packed = np.packbits(m & 1, axis=1)
     ints = map(int.from_bytes, packed.view(f"V{width}").ravel().tolist(), repeat("big"))
     pivots = [0] * (8 * width + 1)
-    leads = []
     for row in sorted(set(ints)):
         while row:
             lead = row.bit_length()
             pivot = pivots[lead]
             if not pivot:
                 pivots[lead] = row
-                leads.append(lead)
                 break
             row ^= pivot
-    leads.sort(reverse=True)
-    out = b"".join(pivots[lead].to_bytes(width, "big") for lead in leads)
-    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(leads), width)
+    found = [pivot for pivot in reversed(pivots) if pivot]
+    out = b"".join(pivot.to_bytes(width, "big") for pivot in found)
+    bits = np.frombuffer(out, dtype=np.uint8).reshape(len(found), width)
     return np.unpackbits(bits, axis=1, count=cols).astype(np.int64)
 
 
@@ -514,8 +511,7 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     gathers = group.mult(all_idx[None, :], group.inverse(group.generators())[:, None])
 
     # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
-    # lies in [0, 2p); row_echelon_mod_p reduces its input itself.  At p = 2
-    # the entries are 0 and 1, and b s ^ b is b s - b mod 2
+    # lies in [0, 2p); row_echelon_mod_p reduces its input itself
     dtype = np.min_scalar_type(2 * p)
     basis = np.zeros((n_el - 1, n_el), dtype=dtype)
     basis[:, 1:] = np.eye(n_el - 1, dtype=dtype)
@@ -528,10 +524,7 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
         # pivots at odd p depend on
         moved = basis[:, gathers].transpose(1, 0, 2)
         stacked = np.empty(moved.shape, dtype=dtype)
-        if p == 2:
-            np.bitwise_xor(moved, basis, out=stacked)
-        else:
-            np.add(moved, p - basis, out=stacked)
+        np.add(moved, p - basis, out=stacked)
         basis = row_echelon_mod_p(stacked.reshape(-1, n_el), p).astype(dtype)
         ranks.append(basis.shape[0])
     while len(ranks) <= depth + 1:

@@ -399,9 +399,12 @@ class TestFiltration:
         assert [len(a) for a in inputs] == [4, 64, 8, 2]
         assert [frozenset(a.tolist()) for a in inputs[1:]] == list(chain[1:4])
 
-    def test_odd_p_raises_the_group_to_the_p_th_power_once(self, monkeypatch):
-        # degrees 2 and 3 of U(4, 3) share G_(1)^3, degrees 4 and 5 G_(2)^3
+    def test_odd_p_takes_the_generators_p_th_powers(self, monkeypatch):
+        # fact (c) at n <= p: degrees 2 and 3 of U(4, 3) share the cubes of
+        # the 3 generators, not of all 729 elements; degrees 4 and 5 cube
+        # G_(2), of order 27
         g = fin.unitriangular_group(4, 3)
+        chain, _ = _literal_filtration(g, 4)
         sizes = []
         power = fin.FiniteGroup.power
 
@@ -410,8 +413,9 @@ class TestFiltration:
             return power(self, a, e)
 
         monkeypatch.setattr(fin.FiniteGroup, "power", recording)
-        assert fin.zassenhaus_filtration_finite(g, 4).dims == (3, 2, 1, 0)
-        assert sizes == [729, 27]
+        f = fin.zassenhaus_filtration_finite(g, 4)
+        assert f.subgroups == chain and f.dims == (3, 2, 1, 0)
+        assert sizes == [3, 27]
 
 
 def _column_loop_echelon(mat, p):
