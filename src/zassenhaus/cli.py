@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "(default)")
     p_verify.add_argument("--include-slow", action="store_true",
                           help="include the group-algebra check of the order-729 "
-                               "unitriangular group U(4, 3) (about 3 s in all)")
+                               "unitriangular group U(4, 3) (about 2 s in all)")
     common(p_verify)
     return parser
 
