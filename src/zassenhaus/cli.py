@@ -4,7 +4,7 @@ Subcommands:
     dims    dimension table (a_n, b_n, w_n, c_n, running sum) for an expression
     series  coefficients of the filtered-algebra Hilbert series, or its closed form
     basis   restricted Hall basis of one graded piece for the free group
-    verify  run the cross-route verification suites
+    verify  run the cross-route verification suites, as listed in SUITES
 
 Expression grammar: free(d), cyclic(p), demushkin(d), superpyth(d), zp(d),
 infix '*' for free products, infix 'x' for direct products (both
@@ -26,13 +26,10 @@ import json
 import os
 import sys
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 # Each command imports the program modules it runs, when it runs, so one
 # launch loads only what its command needs; numpy loads with the finite
 # suite alone.
-if TYPE_CHECKING:
-    from .verify import CheckResult
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -41,7 +38,17 @@ EXIT_VALIDATION = 3
 EXIT_INTEGRALITY = 4
 EXIT_INTERNAL = 5
 
-VERIFY_SUITES = ("roundtrip", "closedforms", "finite")
+# The verify suites in the order `all` runs them: name -> (--suite help,
+# runner). A runner is handed the verify module and the parsed options and
+# looks its check function up when it runs, so no other command loads verify.
+SUITES = {
+    "roundtrip": ("product identity",
+                  lambda verify, a: verify.roundtrip_checks(a.prime, a.max_n)),
+    "closedforms": ("closed formulas",
+                    lambda verify, a: verify.closedform_checks(a.prime, a.max_n)),
+    "finite": ("matrix groups up to order 32768, group-algebra checks up to order 1024",
+               lambda verify, a: verify.finite_checks(a.include_slow)),
+}
 
 _GRAMMAR_HELP = (
     "group expression: free(d) | cyclic(p) | demushkin(d) | superpyth(d) | "
@@ -101,32 +108,22 @@ def cmd_dims(args: argparse.Namespace) -> list[str]:
 
 
 def cmd_series(args: argparse.Namespace) -> list[str]:
-    from .groupspec import closed_form, hp_series, parse_group_spec, to_text
+    from .groupspec import check_order, closed_form, hp_series, parse_group_spec, to_text
     from .series import format_poly
 
     spec = parse_group_spec(args.spec)
     if args.closed_form:
-        recipe = closed_form(spec, args.prime)
-        if recipe.is_rational:
-            num = format_poly(recipe.rational.num)
-            den = format_poly(recipe.rational.den)
-            text = f"({num}) / ({den})"
-            if args.format == "json":
-                payload = {
-                    "spec": to_text(spec),
-                    "p": args.prime,
-                    "closed_form": {"kind": "rational", "num": num, "den": den},
-                }
-                return [json.dumps(payload, indent=2)]
+        form = closed_form(spec, args.prime)
+        check_order(args.max_n)
+        if isinstance(form, str):
+            text, shape = form, {"kind": "product", "text": form}
+        else:
+            num, den = format_poly(form.num), format_poly(form.den)
+            text, shape = f"({num}) / ({den})", {"kind": "rational", "num": num, "den": den}
+        if args.format != "json":
             return [text]
-        if args.format == "json":
-            payload = {
-                "spec": to_text(spec),
-                "p": args.prime,
-                "closed_form": {"kind": "product", "text": recipe.product_form},
-            }
-            return [json.dumps(payload, indent=2)]
-        return [recipe.product_form]
+        payload = {"spec": to_text(spec), "p": args.prime, "closed_form": shape}
+        return [json.dumps(payload, indent=2)]
     coeffs = hp_series(spec, args.prime, args.max_n)
     if args.format == "json":
         payload = {
@@ -159,19 +156,15 @@ def cmd_basis(args: argparse.Namespace) -> list[str]:
     return lines + [f"count = {len(basis)}"]
 
 
-def _suite_checks(suite: str, args: argparse.Namespace) -> list[CheckResult]:
-    from . import verify
-
-    if suite == "roundtrip":
-        return verify.roundtrip_checks(args.prime, args.max_n)
-    if suite == "closedforms":
-        return verify.closedform_checks(args.prime, args.max_n)
-    return verify.finite_checks(args.include_slow)
-
-
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
-    suites = VERIFY_SUITES if args.suite == "all" else (args.suite,)
-    records = [(suite, res) for suite in suites for res in _suite_checks(suite, args)]
+    from . import verify
+    from .groupspec import check_order, check_prime
+
+    # every suite refuses a bad --prime or --max-n, before any suite runs
+    check_prime(args.prime)
+    check_order(args.max_n)
+    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    records = [(suite, res) for suite in suites for res in SUITES[suite][1](verify, args)]
     passed = sum(res.passed for _, res in records)
     code = EXIT_OK if passed == len(records) else EXIT_VERIFY
     if args.format == "json":
@@ -231,11 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_basis, max_n=False)
 
     p_verify = sub.add_parser("verify", help="run cross-route verification suites")
-    p_verify.add_argument("--suite", choices=VERIFY_SUITES + ("all",), default="all",
-                          help="roundtrip (product identity), closedforms (closed "
-                               "formulas), finite (matrix groups up to order 32768, "
-                               "group-algebra checks up to order 1024), or all "
-                               "(default)")
+    suite_help = ", ".join(f"{name} ({text})" for name, (text, _) in SUITES.items())
+    p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all",
+                          help=suite_help + ", or all (default)")
     p_verify.add_argument("--include-slow", action="store_true",
                           help="include the group-algebra check of the order-729 "
                                "unitriangular group U(4, 3) (about 2 s in all)")

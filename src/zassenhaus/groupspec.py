@@ -167,8 +167,19 @@ class NegativeOrder(ValueError):
     """A truncation order below 0: there are no coefficients a_0..a_order."""
 
 
+def check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise PrimeMismatch(f"working prime must be prime, got {p}")
+
+
+def check_order(order: int) -> None:
+    if order < 0:
+        raise NegativeOrder("order must be >= 0")
+
+
 # str.isdigit also accepts other scripts' digits and superscripts
 _DIGITS = frozenset("0123456789")
+_PUNCTUATION = {"*": "star", "(": "lparen", ")": "rparen", ",": "comma"}
 
 
 def _tokenize(text: str):
@@ -179,17 +190,8 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch == "*":
-            tokens.append(("star", "*", i))
-            i += 1
-        elif ch == "(":
-            tokens.append(("lparen", "(", i))
-            i += 1
-        elif ch == ")":
-            tokens.append(("rparen", ")", i))
-            i += 1
-        elif ch == ",":
-            tokens.append(("comma", ",", i))
+        if ch in _PUNCTUATION:
+            tokens.append((_PUNCTUATION[ch], ch, i))
             i += 1
         elif ch in _DIGITS:
             j = i
@@ -314,8 +316,7 @@ def validate(spec: GroupSpec, p: int) -> None:
 
     Leaves are checked left to right, so the first bad one is reported.
     """
-    if not is_prime(p):
-        raise PrimeMismatch(f"working prime must be prime, got {p}")
+    check_prime(p)
     for leaf in _preorder(spec):
         if isinstance(leaf, Cyclic):
             if leaf.order != p:
@@ -423,37 +424,17 @@ def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
     algebra over F_p: the folded pair cut after t^order, divided once in
     integers."""
     validate(spec, p)
-    if order < 0:
-        raise NegativeOrder("order must be >= 0")
+    check_order(order)
     return tuple(_quotient(*_pair(spec, p, order + 1), order))
 
 
-@dataclass(frozen=True)
-class SeriesRecipe:
-    """Closed form of a Hilbert series.
-
-    Either a rational function, or a textual product form for expressions
-    that involve superpyth (whose series has infinitely many factors).
-    """
-
-    rational: RationalFunction | None
-    product_form: str | None
-
-    @property
-    def is_rational(self) -> bool:
-        return self.rational is not None
-
-
-def closed_form(spec: GroupSpec, p: int) -> SeriesRecipe:
-    """The exact folded pair in lowest terms where one exists; a product-form
-    marker otherwise."""
+def closed_form(spec: GroupSpec, p: int) -> RationalFunction | str:
+    """The exact folded pair in lowest terms where one exists; otherwise, where
+    a superpyth factor leaves no finite pair, the product form as text."""
     validate(spec, p)
     pair = _pair(spec, p, None)
     if pair is not None:
-        return SeriesRecipe(rational=RationalFunction(*pair), product_form=None)
+        return RationalFunction(*pair)
     if isinstance(spec, SuperPyth):
-        d = spec.rank
-        text = f"(1 + t) / (1 - t)^{d} * prod_(i>=1) 1 / (1 - t^(2i+1))"
-    else:
-        text = "product form (superpythagorean factor, no finite rational form)"
-    return SeriesRecipe(rational=None, product_form=text)
+        return f"(1 + t) / (1 - t)^{spec.rank} * prod_(i>=1) 1 / (1 - t^(2i+1))"
+    return "product form (superpythagorean factor, no finite rational form)"

@@ -115,6 +115,19 @@ class TestSeries:
         assert payload["closed_form"]["kind"] == "product"
         assert "1 - t^(2i+1)" in payload["closed_form"]["text"]
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("spec, message", [
+        ("free(2)", "order must be >= 0"),
+        ("superpyth(2) * free(1)", "order must be >= 0"),
+        # the expression is validated first, as for the coefficients
+        ("cyclic(3)", "cyclic(3) does not match the working prime 2"),
+    ])
+    def test_closed_form_refuses_a_negative_max_n(self, capsys, spec, message, fmt):
+        argv = ["series", spec, "--closed-form", "--max-n", "-5", "--format", fmt]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {message}\n"
+
     def test_superpyth_coefficients(self, capsys):
         code, out, _ = run(["series", "superpyth(2)", "--max-n", "6"], capsys)
         assert out.strip() == "[1, 3, 5, 8, 12, 17, 24]"
@@ -234,6 +247,55 @@ class TestVerify:
                         "detail": "spec=s n=1 expected=1 got=2"}],
             "summary": {"passed": 0, "total": 1},
         }
+
+
+    def test_suite_help_lists_the_table(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(["verify", "--help"], capsys)
+        assert code == 0
+        assert "{roundtrip,closedforms,finite,all}" in out
+        assert (
+            "roundtrip (product identity), closedforms (closed formulas), finite "
+            "(matrix groups up to order 32768, group-algebra checks up to order "
+            "1024), or all (default)"
+        ) in " ".join(out.split())
+
+    def test_one_table_entry_adds_a_suite(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setitem(
+            cli.SUITES, "stub", ("a stub", lambda verify, a: [CheckResult("stub check", True)])
+        )
+        monkeypatch.setattr(
+            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("finite stub", True)]
+        )
+        code, out, err = run(["verify", "--suite", "stub"], capsys)
+        assert (code, out, err) == (0, "PASS stub check\n1/1 checks passed\n", "")
+        _, out, _ = run(["verify", "--help"], capsys)
+        assert "{roundtrip,closedforms,finite,stub,all}" in out
+        assert (
+            "finite (matrix groups up to order 32768, group-algebra checks up to order "
+            "1024), stub (a stub), or all (default)"
+        ) in " ".join(out.split())
+        code, out, _ = run(["verify", "--max-n", "2", "--format", "json"], capsys)
+        checks = json.loads(out)["checks"]
+        assert code == 0
+        assert checks[-1] == {"name": "stub check", "suite": "stub", "passed": True, "detail": ""}
+        suites = [c["suite"] for c in checks]
+        assert sorted(set(suites), key=suites.index) == ["roundtrip", "closedforms", "finite", "stub"]
+        assert suites.count("stub") == 1
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("suite", [*cli.SUITES, "all"])
+    @pytest.mark.parametrize("options, message", [
+        (["--prime", "4"], "working prime must be prime, got 4"),
+        (["--max-n", "-1"], "order must be >= 0"),
+        (["--prime", "4", "--max-n", "-1"], "working prime must be prime, got 4"),
+    ])
+    def test_every_suite_refuses_a_bad_prime_or_max_n(self, capsys, suite, fmt, options, message):
+        # the finite suite reads neither option, yet refuses both before it runs
+        code, out, err = run(["verify", "--suite", suite, *options, "--format", fmt], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"validation error: {message}\n"
 
 
 class TestExitCodes:

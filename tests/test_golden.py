@@ -1,6 +1,7 @@
 """Golden snapshots: stdout of `zass dims` and `zass series --closed-form`
-for every catalog expression, of `zass verify --format json` for the
-roundtrip and closed-form suites, and of `zass basis`, compared byte for byte.
+for every catalog expression, of `zass verify` for the roundtrip and
+closed-form suites in every format and for the finite suite, and of
+`zass basis`, compared byte for byte.
 
 The snapshots under tests/golden/ were recorded before the expression tree
 became n-ary, and the basis ones before the Hall sets dropped their
@@ -43,6 +44,15 @@ def commands(p: int) -> list[list[str]]:
         out.append(["series", text, "--prime", str(p), "--closed-form", "--format", "json"])
     for suite in ("roundtrip", "closedforms"):
         out.append(["verify", "--suite", suite, "--prime", str(p), "--max-n", "16", "--format", "json"])
+    # the table and csv renderings, pinned after the json ones
+    for text, _ in builtin_specs(p):
+        out.append(["series", text, "--prime", str(p), "--closed-form"])
+    for suite in ("roundtrip", "closedforms"):
+        for fmt in ("table", "csv"):
+            out.append(["verify", "--suite", suite, "--prime", str(p), "--max-n", "16", "--format", fmt])
+    if p == 2:
+        # the finite suite reads no --prime, so one snapshot covers it
+        out.append(["verify", "--suite", "finite"])
     return out
 
 
