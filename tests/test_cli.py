@@ -248,7 +248,6 @@ class TestVerify:
             "summary": {"passed": 0, "total": 1},
         }
 
-
     def test_suite_help_lists_the_table(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         code, out, _ = run(["verify", "--help"], capsys)

@@ -51,7 +51,7 @@ def commands(p: int) -> list[list[str]]:
         for fmt in ("table", "csv"):
             out.append(["verify", "--suite", suite, "--prime", str(p), "--max-n", "16", "--format", fmt])
     if p == 2:
-        # the finite suite reads no --prime, so one snapshot covers it
+        # the finite suite's output does not depend on --prime
         out.append(["verify", "--suite", "finite"])
     return out
 
