@@ -4,12 +4,16 @@ Groups are sets of unit upper-triangular matrices over F_p supported on a
 fixed family of strictly-upper positions that is closed under multiplication
 (full triangles, and block-diagonal unions of them for direct products).
 Elements are indexed by mixed-radix encoding of the supported entries, so the
-index itself is the canonical interned form.  Indices decode through a table
-of all |G| matrices, built on first use; multiplication stays on demand as
-batched matrix products instead of a stored composition table.  Beside the
-decode table sits an inverse index, allocated on the first inverse call and
-filled only for the elements asked for, so the pair scans and the
-augmentation gathers invert each element once per group.
+index itself is the canonical interned form; a batch encodes in one integer
+dot product with the weights.  Indices decode through a table of all |G|
+matrices, built on first use; multiplication stays on demand as batched
+matrix products instead of a stored composition table.  Beside the decode
+table sits an inverse index, allocated on the first inverse call and filled
+only for the elements asked for, so the pair scans and the augmentation
+gathers invert each element once per group; the inverses themselves come by
+repeated squaring (see _inverse_mats).  Subgroups grow from generators by
+right multiplication against a membership bitmap, and normal closures take
+one conjugation scan per round (see _closure).
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -120,8 +124,9 @@ class FiniteGroup:
         return self._table.take(idx, axis=0)
 
     def index_of(self, mats) -> np.ndarray:
-        digits = np.asarray(mats)[..., self._rows, self._cols].astype(np.int64)
-        return (digits * self._weights).sum(axis=-1)
+        """Indices of matrices of shape (..., m, m): one integer dot product
+        of the supported entries with the mixed-radix weights."""
+        return np.asarray(mats)[..., self._rows, self._cols] @ self._weights
 
     # -- group operations ----------------------------------------------
 
@@ -132,17 +137,21 @@ class FiniteGroup:
         return self.index_of((ma @ mb) % self.p)
 
     def _inverse_mats(self, mats: np.ndarray) -> np.ndarray:
-        # (1 + N)^-1 = 1 - N + N^2 - ... with N nilpotent of index <= size
+        """Inverses of unitriangular matrices 1 + N, by repeated squaring.
+
+        (1 + N)(1 - N)(1 + N^2)(1 + N^4)...(1 + N^(2^(k-1))) telescopes to
+        1 - N^(2^k): each factor 1 + N^(2^j) turns 1 - N^(2^j) into
+        1 - N^(2^(j+1)).  N is nilpotent, N^m = 0 for m x m matrices, so the
+        product stops once the squared term vanishes, after at most
+        ceil(log2 m) squarings, and is then the inverse.
+        """
         eye = np.eye(self.size, dtype=np.int64)
         nil = (mats.astype(np.int64) - eye) % self.p
-        acc = np.broadcast_to(eye, mats.shape).copy()
-        term = acc.copy()
-        for k in range(1, self.size):
-            term = (term @ nil) % self.p
-            if not term.any():
-                break  # every later power of N vanishes too
-            sign = 1 if k % 2 == 0 else self.p - 1
-            acc = (acc + sign * term) % self.p
+        acc = (eye - nil) % self.p
+        square = (nil @ nil) % self.p
+        while square.any():
+            acc = (acc + acc @ square) % self.p
+            square = (square @ square) % self.p
         return acc.astype(self._dtype)
 
     def inverse(self, a) -> np.ndarray:
@@ -291,33 +300,42 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 def _closure(group: FiniteGroup, candidates, conjugate_by) -> tuple[np.ndarray, list[int]]:
     """Subgroup generated by the candidates and their conjugates by conjugate_by.
 
-    Candidates are taken one at a time; one already in the subgroup is
-    skipped, so the kept generators number at most log_p of the order.  Each
-    kept element extends the subgroup by right multiplication, and its
-    conjugates by conjugate_by join the candidates: with a generating set of
-    the group there the result is the normal closure.  Returns the sorted
-    elements and the kept generators.
+    Works in rounds.  A round takes its candidates one at a time; one already
+    in the subgroup H is skipped, so the kept generators number at most
+    log_p of the order.  A kept element c adds the coset H c, disjoint from
+    H, and right multiples of the new elements by every kept generator close
+    the union under multiplication.  The round's kept generators are then
+    conjugated by conjugate_by in one scan, and the conjugates are the next
+    round's candidates.  A round that keeps nothing ends the closure: H then
+    holds x^-1 k x for every kept generator k and every x in conjugate_by,
+    so with a generating set of the group there H = <kept> is normal (in a
+    finite group x^-1 H x within H is equal to it), and being generated by
+    conjugates of the candidates it is their normal closure.  Returns the
+    sorted elements and the kept generators.
     """
     member = np.zeros(group.order, dtype=bool)
     member[group.identity] = True
-    elements = [np.array([group.identity], dtype=np.int64)]
     kept: list[int] = []
-    pending = [int(c) for c in np.asarray(candidates, dtype=np.int64).ravel()]
-    for c in pending:  # grows while iterating
-        if member[c]:
-            continue
-        kept.append(c)
-        gens = np.array(kept, dtype=np.int64)
-        # the coset H c is disjoint from H; right multiples of new elements
-        # by every generator close the union under multiplication
-        frontier = group.products(np.concatenate(elements), [c])
-        while frontier.size:
-            member[frontier] = True
-            elements.append(frontier)
-            prods = group.products(frontier, gens)
-            frontier = prods[~member[prods]]
-        if len(conjugate_by):
-            pending.extend(group.conjugates(conjugate_by, [c]).tolist())
+    pending = np.asarray(candidates, dtype=np.int64).ravel()
+    while True:
+        fresh = len(kept)
+        for c in pending.tolist():
+            if member[c]:
+                continue
+            kept.append(c)
+            gens = np.array(kept, dtype=np.int64)
+            rows = max(1, _CHUNK_PAIRS // gens.size)
+            frontier = group.mult(np.flatnonzero(member), c)
+            while frontier.size:
+                member[frontier] = True
+                prods = np.concatenate(
+                    [group.mult(frontier[lo : lo + rows, None], gens).ravel()
+                     for lo in range(0, frontier.size, rows)]
+                )
+                frontier = _unique(prods[~member[prods]])
+        if len(kept) == fresh or not len(conjugate_by):
+            break
+        pending = group.conjugates(conjugate_by, kept[fresh:])
     return np.flatnonzero(member), kept
 
 

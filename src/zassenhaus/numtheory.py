@@ -12,18 +12,48 @@ class NonIntegralW(ValueError):
         self.value = value
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# this bound (Sorenson & Webster, Math. Comp. 86 (2017), 985-1003)
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class PrimalityUndecided(ValueError):
+    """is_prime cannot decide a number at or past PRIME_TEST_BOUND."""
+
+
 def is_prime(n: int) -> bool:
+    """Whether n is prime: trial division by the 13 base primes, then a
+    deterministic Miller-Rabin test to those bases.
+
+    A number with a prime factor up to 41 is decided by the division alone.
+    Any other number at or past PRIME_TEST_BOUND raises PrimalityUndecided.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
+        return True  # no prime factor up to 41, hence none up to sqrt(n)
+    if n >= PRIME_TEST_BOUND:
+        raise PrimalityUndecided(
+            f"cannot decide whether {n} is prime: the test is exact only "
+            f"below {PRIME_TEST_BOUND}"
+        )
+    # n - 1 = d 2^s with d odd
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False  # a witnesses that n is composite
     return True
 
 

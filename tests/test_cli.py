@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import zassenhaus
 import zassenhaus.dimensions
 import zassenhaus.verify
-from zassenhaus import cli
+from zassenhaus import cli, numtheory
 from zassenhaus.dimensions import NonIntegralW
 from zassenhaus.groupspec import parse_group_spec
 from zassenhaus.series import NonIntegralLog
@@ -316,6 +316,19 @@ class TestExitCodes:
         code, _, err = run(["dims", "free(2)", "--prime", "6"], capsys)
         assert code == 3 and "prime" in err
 
+    def test_large_prime_is_decided(self, capsys):
+        code, out, _ = run(["dims", "free(1)", "--prime", "10000000000000061", "--max-n", "2"], capsys)
+        assert code == 0 and out.splitlines()[1].split() == ["1", "1", "1", "1", "1", "1"]
+
+    @pytest.mark.parametrize("command", ["dims", "series", "basis", "verify"])
+    def test_prime_past_the_test_bound_exits_3(self, capsys, command):
+        # a 30-digit prime: Miller-Rabin to 13 bases is proven only below the bound
+        head = {"dims": ["free(1)"], "series": ["free(1)"], "basis": ["2"], "verify": []}[command]
+        code, out, err = run([command, *head, "--prime", str(10**29 + 319)], capsys)
+        assert (code, out) == (3, "")
+        assert err.count("\n") == 1 and err.startswith("validation error: cannot decide")
+        assert str(numtheory.PRIME_TEST_BOUND) in err
+
     def test_basis_bad_rank(self, capsys):
         code, _, err = run(["basis", "0", "--degree", "2"], capsys)
         assert code == 3
@@ -476,8 +489,14 @@ def _argv(draw):
         head = [] if command == "verify" else [draw(_spec_text)]
         options["--max-n"] = draw(_small_int)
     if command == "verify":
-        # the finite suite ignores every option here and runs for seconds
-        options["--suite"] = draw(st.sampled_from(["roundtrip", "closedforms"]))
+        options["--suite"] = draw(st.sampled_from(["roundtrip", "closedforms", "finite"]))
+        if options["--suite"] == "finite":
+            # the finite suite runs for a second: draw it only with an
+            # option that it refuses before any check runs
+            if draw(st.booleans()):
+                options["--prime"] = draw(st.sampled_from(["-2", "0", "1", "4", "", "p"]))
+            else:
+                options["--max-n"] = draw(st.sampled_from(["-3", "-2", "-1"]))
     flags = ["--closed-form"] if command == "series" and draw(st.booleans()) else []
     return [command, *head, *(x for pair in options.items() for x in pair), *flags]
 
@@ -492,6 +511,8 @@ def test_fuzzed_main_keeps_the_exit_contract(argv):
         code = cli.main(argv)
     out = buf.getvalue()
     assert code in (0, 1, 2, 3, 4)
+    if "finite" in argv:
+        assert code in (2, 3)  # refused before any check runs
     if code:
         assert out == ""
     elif "json" in argv:

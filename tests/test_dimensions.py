@@ -1,4 +1,5 @@
 """Dimension pipeline: log series, Moebius step, p-chain summation."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,45 @@ class TestNumtheory:
         ]
         assert not is_prime(1)
         assert not is_prime(0)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n in range(10**5) if trial(n)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            3215031751,  # strong pseudoprime to the bases 2, 3, 5 and 7
+            3825123056546413051,  # to every prime base up to 23
+            318665857834031151167461,  # psi_12: to every prime base up to 37
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(10000000000000061)
+        assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+        assert is_prime(10**24 + 7)
+        # the largest prime below the bound
+        assert is_prime(3317044064679887385961813)
+        # the square of a prime factor of the bound, which lies below it
+        assert not is_prime(1287836182261 * 1287836182261)
+
+    def test_refuses_past_the_bound(self):
+        bound = numtheory.PRIME_TEST_BOUND
+        # the least strong pseudoprime to all 13 bases
+        assert bound == 1287836182261 * 2575672364521
+        for n in (bound, 10**29 + 319):  # neither has a prime factor up to 41
+            with pytest.raises(numtheory.PrimalityUndecided, match=f"below {bound}$"):
+                is_prime(n)
+        # a small factor still decides it
+        assert not is_prime(2 * bound) and not is_prime(3 * 10**40)
+        assert issubclass(numtheory.PrimalityUndecided, ValueError)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

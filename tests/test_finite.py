@@ -8,6 +8,19 @@ from hypothesis import strategies as st
 
 from zassenhaus import finite as fin
 
+# groups of the codec and inverse tests: both matrix dtypes, a direct product
+_CODEC_GROUPS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fin.unitriangular_group(3, 2),
+        lambda: fin.unitriangular_group(4, 3),
+        lambda: fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)),
+        # 3 * 16^2 exceeds the uint8 budget: the int64 path
+        lambda: fin.unitriangular_group(3, 17),
+    ],
+    ids=["U(3,2)", "U(4,3)", "U(4,2)xU(2,2)", "U(3,17)"],
+)
+
 
 class TestGroupConstruction:
     def test_orders(self):
@@ -26,6 +39,14 @@ class TestGroupConstruction:
         g = fin.unitriangular_group(3, 3)
         idx = np.arange(g.order)
         assert (g.index_of(g.matrices(idx)) == idx).all()
+
+    @_CODEC_GROUPS
+    def test_codec_roundtrip_every_element(self, make):
+        g = make()
+        idx = np.arange(g.order)
+        got = g.index_of(g.matrices(idx))
+        assert got.dtype == np.int64 and (got == idx).all()
+        assert (g.index_of(g.matrices(idx[::-1, None])) == idx[::-1, None]).all()
 
     def test_codec_roundtrip_sampled(self):
         g = fin.unitriangular_group(4, 3)
@@ -132,17 +153,19 @@ class TestArithmetic:
             assert (g.mult(g.inverse(idx), idx) == g.identity).all()
             assert (g.mult(idx, g.inverse(idx)) == g.identity).all()
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: fin.unitriangular_group(3, 2),
-            lambda: fin.unitriangular_group(4, 3),
-            lambda: fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)),
-            # 3 * 16^2 exceeds the uint8 budget: the int64 path
-            lambda: fin.unitriangular_group(3, 17),
-        ],
-        ids=["U(3,2)", "U(4,3)", "U(4,2)xU(2,2)", "U(3,17)"],
-    )
+    @_CODEC_GROUPS
+    def test_inverse_times_element_is_identity(self, make):
+        g = make()
+        idx = np.arange(g.order)
+        inv = g.inverse(idx)
+        assert (g.mult(inv, idx) == g.identity).all()
+        assert (g.mult(idx, inv) == g.identity).all()
+        # the matrices themselves, not through the codec
+        mats = g.matrices(idx).astype(np.int64)
+        prod = (g._inverse_mats(g.matrices(idx)).astype(np.int64) @ mats) % g.p
+        assert (prod == np.eye(g.size, dtype=np.int64)).all()
+
+    @_CODEC_GROUPS
     def test_cached_inverse_matches_power_series(self, make):
         g = make()
         idx = np.arange(g.order, dtype=np.int64)
@@ -298,6 +321,57 @@ class TestClosure:
     def test_empty_generators(self):
         g = fin.cyclic_group(3)
         assert fin.subgroup_closure(g, []) == frozenset({g.identity})
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("name", ["U(3,3)", "U(4,2)", "U(2,2)^3", "U(3,5)", "U(4,2)xU(2,2)"])
+    def test_matches_full_product_search(self, name, seed):
+        g = {**_small_groups(), **_larger_groups()}[name]
+        rng = np.random.default_rng(seed)
+        gens = rng.integers(0, g.order, size=int(rng.integers(0, 4)))
+        assert fin.subgroup_closure(g, gens) == _bfs_subgroup(g, gens)
+        # with conjugation by the generators: the normal closure
+        everyone = np.arange(g.order)
+        elements, kept = fin._closure(g, gens, g.generators())
+        want = _bfs_subgroup(g, g.conjugates(everyone, gens))
+        assert frozenset(elements.tolist()) == want
+        assert _bfs_subgroup(g, kept) == want
+
+    def test_one_conjugation_scan_per_round(self, monkeypatch):
+        # a round keeps what its candidates add and conjugates all of it in
+        # one scan; that scan's conjugates are the next round's candidates,
+        # and a round that keeps nothing ends the closure
+        scans = []
+        conjugates = fin.FiniteGroup.conjugates
+
+        def recording(self, a, b):
+            out = conjugates(self, a, b)
+            scans.append((np.array(a), list(b), out.tolist()))
+            return out
+
+        monkeypatch.setattr(fin.FiniteGroup, "conjugates", recording)
+        g = fin.unitriangular_group(5, 2)
+        gens = g.generators()
+        candidates = g.commutators(gens, gens)  # 1, x_13, x_24, x_35
+        elements, kept = fin._closure(g, candidates, gens)
+        assert len(elements) == 2**6  # x_13 .. x_15, x_24, x_25, x_35
+        assert [len(b) for _, b, _ in scans] == [3, 2]
+        assert all((a == gens).all() for a, _, _ in scans)
+        assert [k for _, b, _ in scans for k in b] == kept
+        assert set(scans[0][1]) <= set(candidates.tolist())
+        assert set(scans[1][1]) <= set(scans[0][2])
+        assert set(scans[1][2]) <= set(elements.tolist())
+
+
+def _bfs_subgroup(group, gens):
+    """<gens>, by multiplying every element found by every element found
+    until no product is new."""
+    found = {group.identity, *np.asarray(gens, dtype=np.int64).tolist()}
+    while True:
+        els = np.array(sorted(found))
+        more = set(group.mult(els[:, None], els[None, :]).ravel().tolist())
+        if more <= found:
+            return frozenset(found)
+        found |= more
 
 
 class TestFiltration:
