@@ -251,7 +251,11 @@ class FiniteGroup:
         return self._pair_scan(a, b, combine)
 
     def products(self, a, b) -> np.ndarray:
-        """Unique x y over all x in a, y in b."""
+        """Unique x y over all x in a, y in b.
+
+        No routine of the package calls it (_closure multiplies with mult);
+        the tests and bench/tracing.py do.
+        """
         return self._pair_scan(
             a, b, lambda x, y: (self.matrices(x) @ self.matrices(y)) % self.p
         )
