@@ -1,11 +1,13 @@
-"""Golden snapshots: stdout of `zass dims` and `zass series --closed-form`
-for every catalog expression, of `zass verify` for the roundtrip and
-closed-form suites in every format and for the finite suite, and of
-`zass basis`, compared byte for byte.
+"""Golden snapshots: stdout of `zass dims` and the `zass series`
+coefficients for every catalog expression in every format, of
+`zass series --closed-form` in json and table, of `zass verify` for the roundtrip and closed-form suites in every format and
+for the finite suite, and of `zass basis`, compared byte for byte.
 
 The snapshots under tests/golden/ were recorded before the expression tree
-became n-ary, and the basis ones before the Hall sets dropped their
-commutator objects; a refactor of the pipeline must reproduce them exactly.
+became n-ary, the basis ones before the Hall sets dropped their commutator
+objects, and the dims table and csv and the series coefficients before the
+command line built every output in one module; a refactor of the pipeline
+must reproduce them exactly.
 The two large bases of the benchmark (0.3 to 2.4 MB of text each) are
 pinned by the sha256 of their stdout, the small ones in full.
 Re-record (only when an output change is intended) with
@@ -53,6 +55,12 @@ def commands(p: int) -> list[list[str]]:
     if p == 2:
         # the finite suite's output does not depend on --prime
         out.append(["verify", "--suite", "finite"])
+    # the dims table and csv, and the series coefficients in every format
+    for text, _ in builtin_specs(p):
+        for fmt in ("table", "csv"):
+            out.append(["dims", text, "--prime", str(p), "--max-n", "12", "--format", fmt])
+        for fmt in ("table", "csv", "json"):
+            out.append(["series", text, "--prime", str(p), "--max-n", "12", "--format", fmt])
     return out
 
 
