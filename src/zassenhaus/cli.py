@@ -57,13 +57,8 @@ _GRAMMAR_HELP = (
 
 
 def _table_lines(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
-    lines = ["  ".join(h.rjust(w) for h, w in zip(headers, widths))]
-    for row in rows:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return lines
+    widths = [max(map(len, column)) for column in zip(headers, *rows)]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in (headers, *rows)]
 
 
 def _csv_lines(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
@@ -74,44 +69,48 @@ def _csv_lines(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[st
     return buf.getvalue().splitlines()
 
 
-def cmd_dims(args: argparse.Namespace) -> list[str]:
+# Each cmd_* is one subcommand's runner (named in build_parser, called by main):
+# it returns the stdout lines and exit code, and builds the JSON, CSV and table itself.
+
+
+def cmd_dims(args: argparse.Namespace) -> tuple[list[str], int]:
     from .dimensions import dims_table
     from .groupspec import parse_group_spec, to_text
 
     spec = parse_group_spec(args.spec)
     table = dims_table(spec, args.prime, args.max_n)
-    n_max = args.max_n
+    # sums[n] = c_1 + ... + c_n, for the json galois_exponents and the sum_c column
+    sums = list(accumulate(table.c[1:], initial=0))
     if args.format == "json":
         payload = {
             "spec": to_text(spec),
             "p": args.prime,
-            "N": n_max,
+            "N": args.max_n,
             "a": list(table.a),
             "b": [str(x) for x in table.b],
             "w": list(table.w),
             "c": list(table.c),
-            "galois_exponents": list(accumulate(table.c[1:], initial=0)),
+            "galois_exponents": sums,
         }
-        return [json.dumps(payload, indent=2)]
+        return [json.dumps(payload, indent=2)], EXIT_OK
     headers = ("n", "a_n", "b_n", "w_n", "c_n", "sum_c")
-    rows = []
-    running = 0
-    for n in range(1, n_max + 1):
-        running += table.c[n]
-        rows.append(
-            (str(n), str(table.a[n]), str(table.b[n]),
-             str(table.w[n]), str(table.c[n]), str(running))
-        )
+    columns = (range(args.max_n + 1), table.a, table.b, table.w, table.c, sums)
+    rows = [tuple(map(str, row)) for row in zip(*columns)][1:]
     if args.format == "csv":
-        return _csv_lines(headers, rows)
-    return _table_lines(headers, rows)
+        return _csv_lines(headers, rows), EXIT_OK
+    return _table_lines(headers, rows), EXIT_OK
 
 
-def cmd_series(args: argparse.Namespace) -> list[str]:
+def cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
     from .groupspec import check_order, closed_form, hp_series, parse_group_spec, to_text
     from .series import format_poly
 
     spec = parse_group_spec(args.spec)
+
+    def json_lines(**fields) -> list[str]:
+        payload = {"spec": to_text(spec), "p": args.prime, **fields}
+        return [json.dumps(payload, indent=2)]
+
     if args.closed_form:
         form = closed_form(spec, args.prime)
         check_order(args.max_n)
@@ -121,39 +120,39 @@ def cmd_series(args: argparse.Namespace) -> list[str]:
             num, den = format_poly(form.num), format_poly(form.den)
             text, shape = f"({num}) / ({den})", {"kind": "rational", "num": num, "den": den}
         if args.format != "json":
-            return [text]
-        payload = {"spec": to_text(spec), "p": args.prime, "closed_form": shape}
-        return [json.dumps(payload, indent=2)]
+            # table and csv print the same single line
+            return [text], EXIT_OK
+        return json_lines(closed_form=shape), EXIT_OK
     coeffs = hp_series(spec, args.prime, args.max_n)
     if args.format == "json":
-        payload = {
-            "spec": to_text(spec),
-            "p": args.prime,
-            "N": args.max_n,
-            "a": coeffs,
-        }
-        return [json.dumps(payload, indent=2)]
+        return json_lines(N=args.max_n, a=coeffs), EXIT_OK
     if args.format == "csv":
         rows = [(str(n), str(a)) for n, a in enumerate(coeffs)]
-        return _csv_lines(("n", "a_n"), rows)
-    return ["[" + ", ".join(str(a) for a in coeffs) + "]"]
+        return _csv_lines(("n", "a_n"), rows), EXIT_OK
+    return ["[" + ", ".join(str(a) for a in coeffs) + "]"], EXIT_OK
 
 
-def cmd_basis(args: argparse.Namespace) -> list[str]:
-    from .hall import basis_json_dict, basis_text_lines, zassenhaus_basis
+def cmd_basis(args: argparse.Namespace) -> tuple[list[str], int]:
+    from .hall import basis_text_lines, zassenhaus_basis
 
     basis = zassenhaus_basis(args.rank, args.prime, args.degree)
     if args.format == "json":
-        payload = basis_json_dict(args.rank, args.prime, args.degree, basis)
-        return [json.dumps(payload, indent=2)]
+        payload = {
+            "rank": args.rank,
+            "p": args.prime,
+            "degree": args.degree,
+            "count": len(basis),
+            "elements": [el._asdict() for el in basis],
+        }
+        return [json.dumps(payload, indent=2)], EXIT_OK
     lines = basis_text_lines(basis, args.prime)
     if args.format == "csv":
         rows = [
             (str(i), line, str(el.p_exponent))
             for i, (line, el) in enumerate(zip(lines, basis), start=1)
         ]
-        return _csv_lines(("index", "element", "p_exponent"), rows)
-    return lines + [f"count = {len(basis)}"]
+        return _csv_lines(("index", "element", "p_exponent"), rows), EXIT_OK
+    return lines + [f"count = {len(basis)}"], EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
@@ -208,22 +207,26 @@ def build_parser() -> argparse.ArgumentParser:
                        default="table", help="output format (default table)")
 
     p_dims = sub.add_parser("dims", help="dimension table for a group expression")
+    p_dims.set_defaults(run=cmd_dims)
     p_dims.add_argument("spec", help=_GRAMMAR_HELP)
     common(p_dims)
 
     p_series = sub.add_parser("series", help="Hilbert series coefficients")
+    p_series.set_defaults(run=cmd_series)
     p_series.add_argument("spec", help=_GRAMMAR_HELP)
     p_series.add_argument("--closed-form", action="store_true",
                           help="print the closed form instead of coefficients")
     common(p_series)
 
     p_basis = sub.add_parser("basis", help="Hall basis of one graded piece (free group)")
+    p_basis.set_defaults(run=cmd_basis)
     p_basis.add_argument("rank", type=int, help="number of free generators")
     p_basis.add_argument("--degree", type=int, default=4, metavar="N",
                          help="graded piece to list (default 4)")
     common(p_basis, max_n=False)
 
     p_verify = sub.add_parser("verify", help="run cross-route verification suites")
+    p_verify.set_defaults(run=cmd_verify)
     suite_help = ", ".join(f"{name} ({text})" for name, (text, _) in SUITES.items())
     p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all",
                           help=suite_help + ", or all (default)")
@@ -273,14 +276,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # compute everything before printing so errors never leave partial output
     try:
-        if args.command == "dims":
-            lines, code = cmd_dims(args), EXIT_OK
-        elif args.command == "series":
-            lines, code = cmd_series(args), EXIT_OK
-        elif args.command == "basis":
-            lines, code = cmd_basis(args), EXIT_OK
-        else:
-            lines, code = cmd_verify(args)
+        lines, code = args.run(args)
     except Exception as exc:
         return _report_error(exc)
 

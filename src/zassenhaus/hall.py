@@ -122,12 +122,3 @@ def basis_text_lines(basis: list[BasisElement], p: int) -> list[str]:
     """
     return [f"{c}^{p ** j}" if j else c for c, _, j in basis]
 
-
-def basis_json_dict(d: int, p: int, n: int, basis: list[BasisElement]) -> dict:
-    return {
-        "rank": d,
-        "p": p,
-        "degree": n,
-        "count": len(basis),
-        "elements": [el._asdict() for el in basis],
-    }

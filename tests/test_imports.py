@@ -51,14 +51,21 @@ def test_finite_alone_loads_no_other_program_module():
     assert out == ["zassenhaus", "zassenhaus.finite"]
 
 
+COMMANDS = [
+    ["dims", "free(2)", "--max-n", "8"],
+    ["series", "cyclic(2) * free(2)", "--max-n", "8"],
+    ["basis", "2", "--degree", "4"],
+]
+
+
+# every format's output is built in cli, from what the command computes
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dims", "free(2)", "--max-n", "8"],
-        ["series", "cyclic(2) * free(2)", "--max-n", "8"],
-        ["basis", "2", "--degree", "4"],
+        pytest.param(argv + fmt, id="-".join([argv[0], *fmt[1:]]))
+        for fmt in ([], ["--format", "json"], ["--format", "csv"])
+        for argv in COMMANDS
     ],
-    ids=["dims", "series", "basis"],
 )
 def test_commands_load_neither_numpy_nor_the_oracles(argv):
     modules = _modules_after_main(argv)
@@ -72,8 +79,9 @@ def test_commands_load_neither_numpy_nor_the_oracles(argv):
         assert not {"zassenhaus.dimensions", "zassenhaus.groupspec", "zassenhaus.series"} & modules
 
 
-def test_roundtrip_verify_loads_no_numpy():
-    modules = _modules_after_main(["verify", "--suite", "roundtrip", "--max-n", "6"])
+@pytest.mark.parametrize("suite, max_n", [("roundtrip", "6"), ("closedforms", "4")])
+def test_series_suites_load_no_numpy(suite, max_n):
+    modules = _modules_after_main(["verify", "--suite", suite, "--max-n", max_n])
     assert "zassenhaus.verify" in modules
     assert "numpy" not in modules and "zassenhaus.finite" not in modules
 
