@@ -1,13 +1,15 @@
 """Golden snapshots: stdout of `zass dims` and the `zass series`
 coefficients for every catalog expression in every format, of
 `zass series --closed-form` in json and table, of `zass verify` for the roundtrip and closed-form suites in every format and
-for the finite suite, and of `zass basis`, compared byte for byte.
+for the finite suite, of `zass basis`, and of every script under demos/,
+compared byte for byte.
 
 The snapshots under tests/golden/ were recorded before the expression tree
 became n-ary, the basis ones before the Hall sets dropped their commutator
 objects, and the dims table and csv and the series coefficients before the
-command line built every output in one module; a refactor of the pipeline
-must reproduce them exactly.
+command line built every output in one module, and the demos before integer
+polynomials became plain tuples; a refactor of the pipeline must reproduce
+them exactly.
 The two large bases of the benchmark (0.3 to 2.4 MB of text each) are
 pinned by the sha256 of their stdout, the small ones in full.
 Re-record (only when an output change is intended) with
@@ -18,7 +20,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -26,6 +31,8 @@ from zassenhaus import cli
 from zassenhaus.verify import builtin_specs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+ROOT = pathlib.Path(__file__).parents[1]
+DEMOS = sorted(path.name for path in (ROOT / "demos").glob("*.py"))
 PRIMES = (2, 3, 5)
 BASIS_HASHED = [
     ["basis", d, "--prime", p, "--degree", n, "--format", fmt]
@@ -77,6 +84,16 @@ def sha256_of(argv: list[str]) -> str:
     return hashlib.sha256(stdout_of(argv).encode()).hexdigest()
 
 
+def demo_stdout(name: str) -> str:
+    """stdout of demos/<name>, run as a script with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_outputs_match_snapshots(p):
     recorded = json.loads((GOLDEN / f"p{p}.json").read_text(encoding="utf-8"))
@@ -96,6 +113,17 @@ def test_basis_outputs_match_snapshots():
         assert stdout_of(argv) == recorded["stdout"][" ".join(argv)], argv
 
 
+def test_demo_list_matches_snapshots():
+    recorded = json.loads((GOLDEN / "demos.json").read_text(encoding="utf-8"))
+    assert list(recorded) == DEMOS
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_outputs_match_snapshots(name):
+    recorded = json.loads((GOLDEN / "demos.json").read_text(encoding="utf-8"))
+    assert demo_stdout(name) == recorded[name]
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for p in PRIMES:
@@ -106,3 +134,5 @@ if __name__ == "__main__":
         "stdout": {" ".join(argv): stdout_of(argv) for argv in BASIS_FULL},
     }
     (GOLDEN / "basis.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
+    snap = {name: demo_stdout(name) for name in DEMOS}
+    (GOLDEN / "demos.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
