@@ -1,31 +1,33 @@
 """Tour of the exact series layer.
 
-Everything below is integer or Fraction arithmetic; nothing is floating
-point, so every printed digit is exact.
+Integer polynomials are plain tuples of int, low degree first, and so are
+the expansions of rational functions with denominator constant term 1; only
+a truncated series, whose logarithm divides, holds Fraction. Nothing is
+floating point, so every printed digit is exact.
 """
 from fractions import Fraction
 
 from zassenhaus.series import (
     RationalFunction,
-    TruncPoly,
     TruncSeries,
     expand_rational,
     format_poly,
     product_identity_rhs,
 )
 
-# Rational functions reduce themselves on construction.
+# Rational functions reduce themselves on construction; num and den are
+# coefficient tuples.
 rf = RationalFunction([2, 0, -2], [2, -2])
 print("(2 - 2t^2)/(2 - 2t) reduces to:",
       f"({format_poly(rf.num)}) / ({format_poly(rf.den)})")
 
-# Taylor expansion by the denominator recurrence. 1/(1 - 3t + t^2) hides
-# the odd-indexed Fibonacci numbers.
+# Taylor expansion by the denominator recurrence, a tuple of int. 1/(1 - 3t + t^2)
+# hides the odd-indexed Fibonacci numbers.
 fib = expand_rational(RationalFunction([1], [1, -3, 1]), 8)
-print("1/(1 - 3t + t^2):", fib.int_coeffs())
+print("1/(1 - 3t + t^2):", list(fib))
 
 # Logarithms stay exact: log 1/(1-2t) has coefficients 2^n / n.
-geo = expand_rational(RationalFunction([1], [1, -2]), 6)
+geo = TruncSeries(6, expand_rational(RationalFunction([1], [1, -2]), 6))
 logs = geo.log()
 print("log 1/(1-2t):", [logs[k] for k in range(7)])
 assert logs[3] == Fraction(8, 3)

@@ -28,8 +28,8 @@ print("augmentation quotient dims:", a)
 
 # the two sides are linked by a polynomial identity
 poly = _jl_polynomial(dims, group.p)
-print("polynomial from the filtration:", [poly[k] for k in range(poly.degree + 1)])
-assert a[: poly.degree + 1] == [poly[k] for k in range(poly.degree + 1)]
+print("polynomial from the filtration:", list(poly))
+assert a[: len(poly)] == list(poly)
 
 # closures from chosen generators
 g = fin.unitriangular_group(3, 3)

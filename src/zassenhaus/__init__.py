@@ -1,11 +1,11 @@
 """Exact dimensions of Zassenhaus filtration subquotients for pro-p groups.
 
 Groups are described by a small expression language (free, cyclic,
-Demushkin, semidirect and direct/free products of these); dimensions come
-from exact arithmetic, with integer polynomials, rational functions and
-series coefficients over Z and the logarithm of the truncated series over
-the rationals, with Hall commutator bases for the free case and brute-force
-finite-group oracles for cross-checking.
+Demushkin, semidirect and direct/free products of these). Dimensions come
+from exact arithmetic: integer polynomials are plain tuples of int, rational
+functions and series coefficients stay over Z, and only the logarithm of the
+truncated series is taken over the rationals. Hall commutator bases cover
+the free case, and brute-force finite-group oracles cross-check the rest.
 
 The names below load their submodule on first use (PEP 562), so importing
 one submodule, such as ``zassenhaus.finite``, compiles none of the others.
@@ -51,8 +51,6 @@ _EXPORTS = {
     ),
     "series": (
         "RationalFunction",
-        "TruncPoly",
-        "TruncSeries",
         "expand_rational",
         "product_identity_rhs",
     ),

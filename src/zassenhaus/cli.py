@@ -102,8 +102,8 @@ def cmd_dims(args: argparse.Namespace) -> tuple[list[str], int]:
 
 
 def cmd_series(args: argparse.Namespace) -> tuple[list[str], int]:
-    from .groupspec import check_order, closed_form, hp_series, parse_group_spec, to_text
-    from .series import format_poly
+    from .groupspec import closed_form, hp_series, parse_group_spec, to_text
+    from .series import check_order, format_poly
 
     spec = parse_group_spec(args.spec)
 
@@ -157,7 +157,8 @@ def cmd_basis(args: argparse.Namespace) -> tuple[list[str], int]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[list[str], int]:
     from . import verify
-    from .groupspec import check_order, check_prime
+    from .groupspec import check_prime
+    from .series import check_order
 
     # every suite refuses a bad --prime or --max-n, before any suite runs
     check_prime(args.prime)

@@ -24,7 +24,7 @@ from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
-from .series import RationalFunction, _quotient
+from .series import RationalFunction, _quotient, check_order
 
 
 @dataclass(frozen=True)
@@ -163,18 +163,9 @@ class RankOutOfRange(ValidationError):
     pass
 
 
-class NegativeOrder(ValueError):
-    """A truncation order below 0: there are no coefficients a_0..a_order."""
-
-
 def check_prime(p: int) -> None:
     if not is_prime(p):
         raise PrimeMismatch(f"working prime must be prime, got {p}")
-
-
-def check_order(order: int) -> None:
-    if order < 0:
-        raise NegativeOrder("order must be >= 0")
 
 
 # str.isdigit also accepts other scripts' digits and superscripts

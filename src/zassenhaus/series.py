@@ -1,10 +1,12 @@
 """Exact truncated power series, integer polynomials, and their ratios.
 
-No floats: polynomials, rational functions and the product identity live in
-Z[t] with arbitrary-precision int, and only the truncated series, TruncSeries,
-use fractions.Fraction. A TruncSeries carries its truncation order and raises
-instead of inventing coefficients past it, and binary operations only ever
-claim the order both operands support.
+No floats. An integer polynomial is a plain tuple of int, low degree first
+with trailing zeros stripped, and () is zero. Rational functions, their
+expansions, and the product identity stay in Z[t] with arbitrary-precision
+int; only the truncated series, TruncSeries, use fractions.Fraction, for the
+logarithm of the Hilbert series. A TruncSeries carries its truncation order
+and raises instead of inventing coefficients past it, and binary operations
+only ever claim the order both operands support.
 
 Every series quotient is one recurrence, _quotient, which stays in int for an
 integer numerator over an integer denominator with constant term 1: the
@@ -13,9 +15,8 @@ num / den, and the Hilbert series is its folded num / den. Polynomial
 division is likewise one integer pseudo-division, _pseudo_divmod, behind both
 poly_gcd and exact division.
 
-Products of polynomials are taken on plain coefficient tuples by the one
-fold in groupspec, so TruncPoly only holds coefficients (with negation), and
-RationalFunction only reduces a finished pair to lowest terms.
+Products of polynomials are taken on coefficient tuples by the one fold in
+groupspec, and RationalFunction only reduces a finished pair to lowest terms.
 """
 from __future__ import annotations
 
@@ -61,6 +62,10 @@ class OrderExceeded(SeriesError):
     """A coefficient beyond the stored truncation order was requested."""
 
 
+class NegativeOrder(SeriesError):
+    """A truncation order below 0: there are no coefficients a_0..a_order."""
+
+
 def _as_int(x) -> int:
     if isinstance(x, bool):
         raise TypeError("bool is not a coefficient")
@@ -69,55 +74,26 @@ def _as_int(x) -> int:
     raise TypeError(f"integer coefficient expected, got {x!r}")
 
 
-class TruncPoly:
-    """Polynomial with arbitrary-precision integer coefficients.
-
-    Coefficients are stored low degree first with trailing zeros stripped;
-    the zero polynomial has an empty coefficient tuple and degree -1.
-    """
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [_as_int(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self._coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        if n < 0:
-            raise IndexError("negative degree")
-        return self._coeffs[n] if n < len(self._coeffs) else 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TruncPoly):
-            return self._coeffs == other._coeffs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._coeffs)
-
-    def __neg__(self) -> TruncPoly:
-        return TruncPoly(-c for c in self._coeffs)
-
-    def __repr__(self) -> str:
-        return f"TruncPoly({list(self._coeffs)})"
+def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """The integer polynomial with these coefficients, low degree first, as a
+    tuple without trailing zeros; () is the zero polynomial."""
+    cs = [_as_int(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
 
 
-def _primitive(coeffs: Sequence[int]) -> TruncPoly:
+def check_order(order: int) -> None:
+    if order < 0:
+        raise NegativeOrder("order must be >= 0")
+
+
+def _primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
     """Divide stripped integer coefficients by their content; leading one > 0."""
     g = gcd(*coeffs)
     if coeffs and coeffs[-1] < 0:
         g = -g
-    return TruncPoly(c // g for c in coeffs) if g else TruncPoly()
+    return tuple(c // g for c in coeffs) if g else ()
 
 
 def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], bool]:
@@ -146,25 +122,26 @@ def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[
         rem[shift:] = [x - q * y for x, y in zip(rem[shift:], b)]
 
 
-def poly_gcd(a: TruncPoly, b: TruncPoly) -> TruncPoly:
+def poly_gcd(a: Iterable[int], b: Iterable[int]) -> tuple[int, ...]:
     """Primitive gcd in Z[t], positive leading coefficient, by the primitive
     remainder sequence; a nonzero constant remainder ends it with gcd 1."""
-    fa, fb = a.coeffs, b.coeffs
+    fa, fb = _strip(a), _strip(b)
     while len(fb) > 1:
-        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1]).coeffs
-    return TruncPoly([1]) if fb else _primitive(fa)
+        fa, fb = fb, _primitive(_pseudo_divmod(fa, fb)[1])
+    return (1,) if fb else _primitive(fa)
 
 
-def _poly_divexact(a: TruncPoly, g: TruncPoly) -> TruncPoly:
-    """Quotient a / g; raises ArithmeticError unless the division is exact over Z."""
-    if g.degree < 0:
+def _poly_divexact(a: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """Quotient a / g of stripped polynomials; raises ArithmeticError unless
+    the division is exact over Z."""
+    if not g:
         raise ZeroDivisionError("division by zero polynomial")
-    quot, rem, scaled = _pseudo_divmod(a.coeffs, g.coeffs)
+    quot, rem, scaled = _pseudo_divmod(a, g)
     if rem:
         raise ArithmeticError("inexact polynomial division")
     if scaled:
         raise ArithmeticError("quotient is not integral")
-    return TruncPoly(quot)
+    return tuple(quot)
 
 
 def _quotient(num: Sequence, den: Sequence, order: int) -> list:
@@ -194,50 +171,41 @@ class RationalFunction:
     """Ratio of integer polynomials with denominator nonzero at t = 0.
 
     Construction reduces to lowest terms (primitive gcd cancelled, content
-    cancelled, denominator constant term made positive), so structurally
-    different builds of the same function compare equal.
+    cancelled, denominator constant term made positive) and stores num and
+    den as stripped coefficient tuples, so structurally different builds of
+    the same function compare equal.
     """
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num, den=(1,)):
-        num = num if isinstance(num, TruncPoly) else TruncPoly(num)
-        den = den if isinstance(den, TruncPoly) else TruncPoly(den)
-        if den[0] == 0:
+    def __init__(self, num: Iterable[int], den: Iterable[int] = (1,)):
+        num, den = _strip(num), _strip(den)
+        if not den or den[0] == 0:
             raise ZeroConstantDenominator(
                 "denominator vanishes at t = 0; no series expansion exists"
             )
-        if num.degree < 0:
-            den = TruncPoly([1])
+        if not num:
+            den = (1,)
         else:
             g = poly_gcd(num, den)
-            if g.degree > 0:
+            if len(g) > 1:
                 num = _poly_divexact(num, g)
                 den = _poly_divexact(den, g)
-            k = gcd(*num.coeffs, *den.coeffs)
-            if k > 1:
-                num = TruncPoly(c // k for c in num.coeffs)
-                den = TruncPoly(c // k for c in den.coeffs)
-        if den[0] < 0:
-            num, den = -num, -den
-        self._num = num
-        self._den = den
-
-    @property
-    def num(self) -> TruncPoly:
-        return self._num
-
-    @property
-    def den(self) -> TruncPoly:
-        return self._den
+            k = gcd(*num, *den)
+            if den[0] < 0:
+                k = -k
+            num = tuple(c // k for c in num)
+            den = tuple(c // k for c in den)
+        self.num = num
+        self.den = den
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
-            return self._num == other._num and self._den == other._den
+            return self.num == other.num and self.den == other.den
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"RationalFunction({list(self._num.coeffs)}, {list(self._den.coeffs)})"
+        return f"RationalFunction({list(self.num)}, {list(self.den)})"
 
 
 class TruncSeries:
@@ -250,8 +218,7 @@ class TruncSeries:
     __slots__ = ("_order", "_coeffs")
 
     def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
-        if order < 0:
-            raise ValueError("order must be >= 0")
+        check_order(order)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError(f"got {len(cs)} coefficients for order {order}")
@@ -389,9 +356,12 @@ class TruncSeries:
         return f"TruncSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"
 
 
-def expand_rational(rf: RationalFunction, order: int) -> TruncSeries:
-    """Power-series expansion of num/den to the given order, exactly."""
-    return TruncSeries(order, _quotient(rf.num.coeffs, rf.den.coeffs, order))
+def expand_rational(rf: RationalFunction, order: int) -> tuple[Scalar, ...]:
+    """Coefficients 0..order of the series num / den, exactly: int when
+    den[0] == 1, as for every closed form of a group expression, and Fraction
+    otherwise."""
+    check_order(order)
+    return tuple(_quotient(rf.num, rf.den, order))
 
 
 def _times_binomial(out: list[int], step: int, e: int) -> None:
@@ -427,6 +397,7 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    check_order(order)
     out = [1] + [0] * order
     for n, cn in enumerate(c, start=1):
         cn = _as_int(cn)
@@ -439,23 +410,22 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...
     return tuple(out)
 
 
-def format_poly(p: TruncPoly, var: str = "t") -> str:
-    """Human-readable rendering like '1 - 2t - 2t^2'."""
-    if p.degree < 0:
-        return "0"
+def format_poly(coeffs: Sequence[int]) -> str:
+    """Human-readable rendering like '1 - 2t - 2t^2' of coefficients listed
+    low degree first."""
     parts = []
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(coeffs):
         if c == 0:
             continue
         mag = abs(c)
         if k == 0:
             body = str(mag)
         elif k == 1:
-            body = var if mag == 1 else f"{mag}{var}"
+            body = "t" if mag == 1 else f"{mag}t"
         else:
-            body = f"{var}^{k}" if mag == 1 else f"{mag}{var}^{k}"
+            body = f"t^{k}" if mag == 1 else f"{mag}t^{k}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"

@@ -419,6 +419,7 @@ class TestExitCodes:
         assert proc.stdout.read(10) == b"[1, 2, 4, "
         proc.stdout.close()
         err = proc.stderr.read()
+        proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == b""
 

@@ -101,7 +101,7 @@ class TestParser:
     def test_deep_alternating_nesting(self):
         spec = parse_group_spec(nest(300))
         rf = closed_form(spec, 2)
-        assert hp_series(spec, 2, 8) == expand_rational(rf, 8).coeffs
+        assert hp_series(spec, 2, 8) == expand_rational(rf, 8)
 
     def test_alternation_limit(self):
         # no limit: the parser, to_text and == take no stack per level
@@ -265,7 +265,7 @@ class TestHpSeries:
         s = hp_series(parse_group_spec("cyclic(3) * cyclic(3) * cyclic(3)"), 3, 4)
         assert s == (1, 3, 9, 24, 66)
         rf = RationalFunction([1, 1, 1], [1, -2, -2])
-        assert expand_rational(rf, 4).coeffs == s
+        assert expand_rational(rf, 4) == s
 
     def test_cyclic_free_mix(self):
         s = hp_series(parse_group_spec("cyclic(2) * free(2)"), 2, 4)
@@ -279,7 +279,7 @@ class TestHpSeries:
     def test_superpyth_matches_dense_products(self, d):
         # the leaf divides by 1 - t^k; multiplying by sum_j t^(jk) is the same
         order = 120
-        s = expand_rational(RationalFunction([1, 1], _one_minus_t_to(d)), order)
+        s = TruncSeries(order, expand_rational(RationalFunction([1, 1], _one_minus_t_to(d)), order))
         for k in range(3, order + 1, 2):
             s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
         assert hp_series(SuperPyth(d), 2, order) == s.coeffs
@@ -329,7 +329,17 @@ class TestClosedForm:
         ]:
             spec = parse_group_spec(text)
             rf = closed_form(spec, 2)
-            assert expand_rational(rf, 12).coeffs == hp_series(spec, 2, 12)
+            assert expand_rational(rf, 12) == hp_series(spec, 2, 12)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_catalog_expands_to_int_series(self, p):
+        for text, spec in builtin_specs(p):
+            form = closed_form(spec, p)
+            if isinstance(form, str):
+                continue
+            got = expand_rational(form, 24)
+            assert type(got) is tuple and all(type(a) is int for a in got), text
+            assert got == hp_series(spec, p, 24), text
 
 
 def _count_series_arithmetic(monkeypatch) -> list:
@@ -379,7 +389,7 @@ class TestBottomUpWalk:
 
     def test_closed_form_600_alternations(self):
         spec = nest_by_hand(600)
-        assert expand_rational(closed_form(spec, 2), 8).coeffs == hp_series(spec, 2, 8)
+        assert expand_rational(closed_form(spec, 2), 8) == hp_series(spec, 2, 8)
 
     def test_non_spec_factor_is_type_error(self):
         bad = FreeProduct(Free(1), DirectProduct(Zp(1), "free(2)"))
@@ -435,7 +445,7 @@ class TestRandomTrees:
         p, spec = case
         form = closed_form(spec, p)
         if not isinstance(form, str):
-            assert hp_series(spec, p, 10) == expand_rational(form, 10).coeffs
+            assert hp_series(spec, p, 10) == expand_rational(form, 10)
 
 
 def _inverse_based_hp_series(spec, p, order):
@@ -447,16 +457,19 @@ def _inverse_based_hp_series(spec, p, order):
     validate(spec, p)
     inverse = cache(TruncSeries.inverse)
 
+    def expand(num, den):
+        return TruncSeries(order, expand_rational(RationalFunction(num, den), order))
+
     def leaf(x):
         if isinstance(x, Free):
-            return expand_rational(RationalFunction([1], [1, -x.rank]), order)
+            return expand([1], [1, -x.rank])
         if isinstance(x, Cyclic):
-            return expand_rational(RationalFunction([1] * p, [1]), order)
+            return expand([1] * p, [1])
         if isinstance(x, Demushkin):
-            return expand_rational(RationalFunction([1], [1, -x.rank, 1]), order)
+            return expand([1], [1, -x.rank, 1])
         if isinstance(x, Zp):
-            return expand_rational(RationalFunction([1], _one_minus_t_to(x.rank)), order)
-        s = expand_rational(RationalFunction([1, 1], _one_minus_t_to(x.rank)), order)
+            return expand([1], _one_minus_t_to(x.rank))
+        s = expand([1, 1], _one_minus_t_to(x.rank))
         for k in range(3, order + 1, 2):
             s = s * TruncSeries(order, [1 if j % k == 0 else 0 for j in range(order + 1)])
         return s
@@ -521,19 +534,19 @@ def _per_node_closed_form(spec, p):
     def node(kind, factors):
         if any(r is None for r in factors):
             return None
-        pairs = [(r.num.coeffs, r.den.coeffs) for r in factors]
+        pairs = [(r.num, r.den) for r in factors]
         if kind is FreeProduct:
             # P^-1 = m_1 Q_1^-1 + ... + m_j Q_j^-1 - (k - 1), as num / den
             inv = RationalFunction([1 - len(factors)])
             for (num, den), m in Counter(pairs).items():
-                inv_num, inv_den = inv.num.coeffs, inv.den.coeffs
+                inv_num, inv_den = inv.num, inv.den
                 scaled = [m * c for c in _poly_mul(den, inv_den)]
                 summed = [x + y for x, y in zip_longest(_poly_mul(inv_num, num), scaled, fillvalue=0)]
                 inv = RationalFunction(summed, _poly_mul(inv_den, num))
             return RationalFunction(inv.den, inv.num)
         rf = RationalFunction([1])
         for num, den in pairs:
-            rf = RationalFunction(_poly_mul(rf.num.coeffs, num), _poly_mul(rf.den.coeffs, den))
+            rf = RationalFunction(_poly_mul(rf.num, num), _poly_mul(rf.den, den))
         return rf
 
     return _fold(spec, leaf, node)

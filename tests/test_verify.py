@@ -5,7 +5,6 @@ import pytest
 
 from zassenhaus import finite, verify
 from zassenhaus.groupspec import FreeProduct
-from zassenhaus.series import TruncSeries
 
 
 def _assert_all(results):
@@ -65,13 +64,12 @@ def _bumped(fn, at, by=1):
 
 
 def _series_shifted(fn, k, by):
-    """fn with coefficient min(k, order) of the returned series moved by `by`;
-    the series is a TruncSeries or a tuple of coefficients, and stays one."""
+    """fn with coefficient min(k, order) of the returned coefficients moved by
+    `by`, returned as a tuple."""
     def shifted(*args):
-        s = fn(*args)
-        coeffs = list(s.coeffs if isinstance(s, TruncSeries) else s)
+        coeffs = list(fn(*args))
         coeffs[min(k, len(coeffs) - 1)] += by
-        return TruncSeries(s.order, coeffs) if isinstance(s, TruncSeries) else tuple(coeffs)
+        return tuple(coeffs)
     return shifted
 
 
@@ -136,7 +134,13 @@ def test_expand_rational_fault(monkeypatch):
     assert _failures(verify.closedform_checks(5, 16)) == [
         f"closed form expands to series: {t}: spec={t} n=2 expected={a} got={a - 1}"
         for t, a in zip(texts, a2)
-    ] + [
+    ]
+
+
+def test_newton_route_fault(monkeypatch):
+    # s_2, the second coefficient of -f'/f, lowered by 2
+    monkeypatch.setattr(verify, "_quotient", _series_shifted(verify._quotient, 1, -2))
+    assert _failures(verify.closedform_checks(5, 16)) == [
         f"power sums: multinomial vs Newton route, d={d}, p=5: spec=d={d} "
         f"n=2 expected={s - 2} got={s}"
         for d, s in enumerate([0, 3, 8, 15, 24])
