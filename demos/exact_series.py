@@ -21,8 +21,8 @@ rf = RationalFunction([2, 0, -2], [2, -2])
 print("(2 - 2t^2)/(2 - 2t) reduces to:",
       f"({format_poly(rf.num)}) / ({format_poly(rf.den)})")
 
-# Taylor expansion by the denominator recurrence, a tuple of int. 1/(1 - 3t + t^2)
-# hides the odd-indexed Fibonacci numbers.
+# Taylor expansion by the denominator recurrence, a tuple of int.
+# 1/(1 - 3t + t^2) hides the odd-indexed Fibonacci numbers.
 fib = expand_rational(RationalFunction([1], [1, -3, 1]), 8)
 print("1/(1 - 3t + t^2):", list(fib))
 
