@@ -5,9 +5,10 @@ elements (necklace counting). A basis of the degree-n piece of the
 filtration of a free group mixes commutators of several weights, each
 raised to the p-power that lifts its weight to n.
 """
-from zassenhaus.dimensions import dims_table, w_free_closed
+from zassenhaus.dimensions import dims_table
 from zassenhaus.groupspec import Free
 from zassenhaus.hall import basis_text_lines, hall_commutators, zassenhaus_basis
+from zassenhaus.numtheory import w_free_closed
 
 d = 2
 layers = hall_commutators(d, 6)

@@ -22,8 +22,6 @@ _EXPORTS = {
         "c_sequence",
         "dims_table",
         "min_generators",
-        "w_demushkin_closed",
-        "w_free_closed",
         "w_sequence",
     ),
     "groupspec": (
@@ -49,11 +47,13 @@ _EXPORTS = {
         "hall_commutators",
         "zassenhaus_basis",
     ),
+    "numtheory": ("w_free_closed",),
     "series": (
         "RationalFunction",
         "expand_rational",
         "product_identity_rhs",
     ),
+    "verify": ("w_demushkin_closed",),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -8,17 +8,17 @@ The chain implements, in exact arithmetic,
     c_n  = w_m + w_{pm} + ... + w_n               for n = p^k m, gcd(m, p) = 1.
 
 For gcd(n, p) = 1 this gives c_n = w_n, and for p | n it gives
-c_n = c_{n/p} + w_n; both identities hold by construction.
+c_n = c_{n/p} + w_n; both identities hold by construction. The closed formulas
+that check this chain live in verify, off its route.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
 from typing import Sequence
 
 from .groupspec import Demushkin, Free, GroupSpec, hp_series
-from .numtheory import NonIntegralW, divisors, is_prime, moebius, moebius_table, w_free_closed
+from .numtheory import NonIntegralW, is_prime, moebius_table
 from .series import TruncSeries
 
 __all__ = [
@@ -27,15 +27,9 @@ __all__ = [
     "NegativeDimension",
     "UnsupportedSpec",
     "OutOfRange",
-    "moebius",
     "w_sequence",
     "c_sequence",
     "dims_table",
-    "w_free_closed",
-    "demushkin_power_sum",
-    "w_demushkin_power_sum",
-    "w_demushkin_closed",
-    "power_sums_free_product_cp",
     "min_generators",
 ]
 
@@ -137,97 +131,6 @@ def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
     return DimensionTable(
         p=p, order=order, a=a, b=(Fraction(0), *b), w=(0, *w), c=(0, *c_sequence(w, p))
     )
-
-
-def demushkin_power_sum(d: int, m: int) -> int:
-    """s_m = alpha^m + beta^m for alpha + beta = d, alpha beta = 1."""
-    if m < 0:
-        raise ValueError("need m >= 0")
-    s_prev, s_cur = 2, d
-    if m == 0:
-        return 2
-    for _ in range(m - 1):
-        s_prev, s_cur = s_cur, d * s_cur - s_prev
-    return s_cur
-
-
-def w_demushkin_power_sum(d: int, n: int) -> int:
-    """Demushkin exponents via power sums: (1/n) sum mu(n/m) s_m."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    total = sum(
-        mu * demushkin_power_sum(d, m) for m in divisors(n) if (mu := moebius(n // m))
-    )
-    w, r = divmod(total, n)
-    if r:
-        raise NonIntegralW(n, Fraction(total, n))
-    return w
-
-
-def w_demushkin_closed(d: int, n: int) -> int:
-    """Demushkin exponents via the alternating binomial form of s_m:
-
-        s_m = sum_{0 <= i <= m/2} (-1)^i (m/(m-i)) C(m-i, i) d^(m-2i).
-
-    Must agree with w_demushkin_power_sum for all d, n.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    acc = Fraction(0)
-    for m in divisors(n):
-        mu = moebius(n // m)
-        if not mu:
-            continue
-        inner = Fraction(0)
-        for i in range(m // 2 + 1):
-            inner += (-1) ** i * Fraction(m, m - i) * comb(m - i, i) * Fraction(d) ** (m - 2 * i)
-        if inner.denominator != 1:
-            raise NonIntegralW(m, inner, "s")
-        acc += mu * inner
-    acc /= n
-    if acc.denominator != 1:
-        raise NonIntegralW(n, acc)
-    return acc.numerator
-
-
-def _exponent_tuples(n: int, p: int):
-    """All (k_1, ..., k_p) with k_i >= 0 and sum i*k_i = n."""
-
-    def rec(size, remaining, suffix):
-        if size == 1:
-            yield (remaining,) + suffix
-            return
-        for k in range(remaining // size + 1):
-            yield from rec(size - 1, remaining - size * k, (k,) + suffix)
-
-    yield from rec(p, n, ())
-
-
-def power_sums_free_product_cp(d: int, p: int, n: int) -> int:
-    """Power sums of the inverse roots of 1 - d t - d t^2 - ... - d t^p.
-
-    These control the free product of d copies of the cyclic group with a free
-    factor; computed by the explicit multinomial sum
-
-        s_n = sum over k_1 + 2 k_2 + ... + p k_p = n of
-              (n / K) * K! / (k_1! ... k_p!) * d^K,   K = k_1 + ... + k_p.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if d < 0 or n < 1:
-        raise ValueError("need d >= 0 and n >= 1")
-    acc = Fraction(0)
-    for ks in _exponent_tuples(n, p):
-        big_k = sum(ks)
-        if big_k == 0:
-            continue
-        multinomial = factorial(big_k)
-        for k in ks:
-            multinomial //= factorial(k)
-        acc += Fraction(n, big_k) * multinomial * Fraction(d) ** big_k
-    if acc.denominator != 1:
-        raise NonIntegralW(n, acc, "s")
-    return acc.numerator
 
 
 def min_generators(spec: GroupSpec, p: int, n: int, c: Sequence[int]) -> int:

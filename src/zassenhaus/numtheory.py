@@ -1,6 +1,8 @@
 """Small integer helpers shared across the package."""
 from __future__ import annotations
 
+from typing import Callable
+
 
 class NonIntegralW(ValueError):
     """w_n, or a power sum s_n behind it, came out non-integral: the input is
@@ -117,14 +119,25 @@ def moebius_table(n: int) -> list[int]:
     return mu
 
 
-def w_free_closed(d: int, n: int) -> int:
-    """Necklace count (1/n) sum_{m | n} mu(m) d^(n/m): free-group exponents."""
-    if d < 0 or n < 1:
-        raise ValueError("need d >= 0 and n >= 1")
-    total = sum(mu * d ** (n // m) for m in divisors(n) if (mu := moebius(m)))
+def moebius_inversion(s: Callable[[int], int], n: int) -> int:
+    """(1/n) sum_{m | n} mu(n/m) s(m) for an integer sequence s(m), m >= 1.
+
+    The closed formulas for the exponents w_n all take this form; raises
+    NonIntegralW where n does not divide the sum.
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
+    total = sum(mu * s(m) for m in divisors(n) if (mu := moebius(n // m)))
     w, r = divmod(total, n)
     if r:
         from fractions import Fraction  # the error path alone needs it
 
         raise NonIntegralW(n, Fraction(total, n))
     return w
+
+
+def w_free_closed(d: int, n: int) -> int:
+    """Necklace count (1/n) sum_{m | n} mu(n/m) d^m: free-group exponents."""
+    if d < 0 or n < 1:
+        raise ValueError("need d >= 0 and n >= 1")
+    return moebius_inversion(lambda m: d ** m, n)

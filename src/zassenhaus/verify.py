@@ -9,15 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+from math import comb, factorial
 from typing import TYPE_CHECKING
 
-from .dimensions import (
-    dims_table,
-    power_sums_free_product_cp,
-    w_demushkin_closed,
-    w_demushkin_power_sum,
-    w_free_closed,
-)
+from .dimensions import dims_table
 from .groupspec import (
     Cyclic,
     Free,
@@ -27,6 +22,7 @@ from .groupspec import (
     hp_series,
     parse_group_spec,
 )
+from .numtheory import NonIntegralW, is_prime, moebius_inversion, w_free_closed
 from .series import _quotient, check_order, expand_rational, product_identity_rhs
 
 # the finite suite alone needs numpy: its functions import finite when called
@@ -145,6 +141,95 @@ def demushkin_c_closed(d: int, p: int) -> list[int]:
         (d ** 4 - 3 * d * d + 2 * d) // 4 if p == 2 else (d ** 4 - 5 * d * d + 4) // 4,
         (d ** 5 - 5 * d ** 3 + 9 * d) // 5 if p == 5 else (d ** 5 - 5 * d ** 3 + 4 * d) // 5,
     ]
+
+
+def _integer_sum(n: int, terms: list[tuple[int, int, int]]) -> int:
+    """s_n = sum of (num / den) * x over the terms (num, den, x), where each
+    num / den is an integer by its formula.
+
+    Raises NonIntegralW, showing the whole sum, at the first that is not.
+    """
+    total = 0
+    for num, den, x in terms:
+        q, r = divmod(num, den)
+        if r:
+            from fractions import Fraction  # the error path alone needs it
+
+            raise NonIntegralW(n, sum(Fraction(a, b) * y for a, b, y in terms), "s")
+        total += q * x
+    return total
+
+
+def demushkin_power_sum(d: int, m: int) -> int:
+    """s_m = alpha^m + beta^m for alpha + beta = d, alpha beta = 1."""
+    if m < 0:
+        raise ValueError("need m >= 0")
+    s_prev, s_cur = 2, d
+    if m == 0:
+        return 2
+    for _ in range(m - 1):
+        s_prev, s_cur = s_cur, d * s_cur - s_prev
+    return s_cur
+
+
+def w_demushkin_power_sum(d: int, n: int) -> int:
+    """Demushkin exponents via power sums: (1/n) sum mu(n/m) s_m."""
+    return moebius_inversion(lambda m: demushkin_power_sum(d, m), n)
+
+
+def w_demushkin_closed(d: int, n: int) -> int:
+    """Demushkin exponents via the alternating binomial form of s_m:
+
+        s_m = sum_{0 <= i <= m/2} (-1)^i (m/(m-i)) C(m-i, i) d^(m-2i).
+
+    Must agree with w_demushkin_power_sum for all d, n.
+    """
+
+    def lucas(m):
+        return _integer_sum(m, [
+            ((-1) ** i * m * comb(m - i, i), m - i, d ** (m - 2 * i))
+            for i in range(m // 2 + 1)
+        ])
+
+    return moebius_inversion(lucas, n)
+
+
+def _exponent_tuples(n: int, p: int):
+    """All (k_1, ..., k_p) with k_i >= 0 and sum i*k_i = n."""
+
+    def rec(size, remaining, suffix):
+        if size == 1:
+            yield (remaining,) + suffix
+            return
+        for k in range(remaining // size + 1):
+            yield from rec(size - 1, remaining - size * k, (k,) + suffix)
+
+    yield from rec(p, n, ())
+
+
+def power_sums_free_product_cp(d: int, p: int, n: int) -> int:
+    """Power sums of the inverse roots of 1 - d t - d t^2 - ... - d t^p.
+
+    These control the free product of d copies of the cyclic group with a free
+    factor; computed by the explicit multinomial sum
+
+        s_n = sum over k_1 + 2 k_2 + ... + p k_p = n of
+              (n / K) * K! / (k_1! ... k_p!) * d^K,   K = k_1 + ... + k_p.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    if d < 0 or n < 1:
+        raise ValueError("need d >= 0 and n >= 1")
+    terms = []
+    for ks in _exponent_tuples(n, p):
+        big_k = sum(ks)
+        if big_k == 0:
+            continue
+        multinomial = factorial(big_k)
+        for k in ks:
+            multinomial //= factorial(k)
+        terms.append((n * multinomial, big_k, d ** big_k))
+    return _integer_sum(n, terms)
 
 
 def superpyth_c_expected(d: int, order: int) -> list[int]:

@@ -11,19 +11,17 @@ from functools import reduce
 import numpy as np
 
 from zassenhaus import finite as fin
-from zassenhaus.dimensions import (
-    dims_table,
-    power_sums_free_product_cp,
-    w_free_closed,
-)
+from zassenhaus.dimensions import dims_table
 from zassenhaus.groupspec import Cyclic, Free, FreeProduct, SuperPyth, hp_series, parse_group_spec
 from zassenhaus.hall import hall_commutators, zassenhaus_basis
+from zassenhaus.numtheory import w_free_closed
 from zassenhaus.series import RationalFunction, TruncSeries, expand_rational, product_identity_rhs
 from zassenhaus.verify import (
     _jl_polynomial,
     builtin_specs,
     demushkin_c_closed,
     free_c_closed,
+    power_sums_free_product_cp,
     superpyth_c_expected,
 )
 

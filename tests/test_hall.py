@@ -2,7 +2,7 @@
 import pytest
 
 from zassenhaus import hall
-from zassenhaus.dimensions import dims_table, w_free_closed
+from zassenhaus.dimensions import dims_table
 from zassenhaus.groupspec import Free
 from zassenhaus.hall import (
     MAX_BASIS_ELEMENTS,
@@ -12,6 +12,7 @@ from zassenhaus.hall import (
     hall_commutators,
     zassenhaus_basis,
 )
+from zassenhaus.numtheory import w_free_closed
 
 
 def _parse(text):

@@ -157,3 +157,33 @@ def test_bench_tracer_hooks_resolve_and_record():
         "verify.roundtrip_checks",
         "finite.commutators",
     } <= set(out["spans"])
+
+
+CLOSED_FORMULAS = (
+    "demushkin_power_sum",
+    "w_demushkin_power_sum",
+    "w_demushkin_closed",
+    "power_sums_free_product_cp",
+    "_exponent_tuples",
+)
+
+
+def test_the_chain_loads_none_of_its_oracles():
+    # the closed formulas check the chain, so they live in verify, off its route
+    out = _run(f"""
+        import json, sys
+        from zassenhaus import dimensions, groupspec, series
+        loaded = "zassenhaus.verify" in sys.modules
+        import zassenhaus
+        from zassenhaus import verify
+        print(json.dumps({{
+            "loaded": loaded,
+            "stray": [f"{{m.__name__}}.{{n}}" for m in (series, groupspec, dimensions)
+                      for n in {CLOSED_FORMULAS!r} if hasattr(m, n)],
+            "homes": sorted({{getattr(verify, n).__module__ for n in {CLOSED_FORMULAS!r}}}),
+            "exports": [zassenhaus.w_demushkin_closed.__module__,
+                        zassenhaus.w_free_closed.__module__],
+        }}))
+    """)
+    assert out == {"loaded": False, "stray": [], "homes": ["zassenhaus.verify"],
+                   "exports": ["zassenhaus.verify", "zassenhaus.numtheory"]}

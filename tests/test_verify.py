@@ -2,9 +2,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zassenhaus import finite, verify
 from zassenhaus.groupspec import FreeProduct
+from zassenhaus.series import _quotient
 
 
 def _assert_all(results):
@@ -24,6 +27,20 @@ def test_closedform_suite(p):
 
 def test_finite_suite():
     _assert_all(verify.finite_checks())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 8), st.integers(1, 60))
+def test_demushkin_exponents_binomial_form_matches_power_sums(d, n):
+    assert verify.w_demushkin_closed(d, n) == verify.w_demushkin_power_sum(d, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 5), st.integers(1, 30))
+def test_multinomial_power_sums_match_newton_route(p, d, n):
+    # s_n is the coefficient of t^(n-1) in -f'/f for f = 1 - d t - ... - d t^p
+    newton = _quotient([k * d for k in range(1, p + 1)], (1,) + (-d,) * p, n - 1)
+    assert verify.power_sums_free_product_cp(d, p, n) == newton[n - 1]
 
 
 def test_catalog_covers_each_constructor():
