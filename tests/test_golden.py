@@ -2,14 +2,16 @@
 coefficients for every catalog expression in every format, of
 `zass series --closed-form` in json and table, of `zass verify` for the roundtrip and closed-form suites in every format and
 for the finite suite, of `zass basis`, and of every script under demos/,
-compared byte for byte.
+compared byte for byte; and the outcome of `parse_group_spec` on a fixed
+corpus of expressions.
 
 The snapshots under tests/golden/ were recorded before the expression tree
 became n-ary, the basis ones before the Hall sets dropped their commutator
 objects, and the dims table and csv and the series coefficients before the
 command line built every output in one module, and the demos before integer
 polynomials became plain tuples; a refactor of the pipeline must reproduce
-them exactly.
+them exactly. The parse corpus was recorded before the parser became one
+loop over the token list.
 The two large bases of the benchmark (0.3 to 2.4 MB of text each) are
 pinned by the sha256 of their stdout, the small ones in full.
 Re-record (only when an output change is intended) with
@@ -22,12 +24,14 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from zassenhaus import cli
+from zassenhaus.groupspec import parse_group_spec, to_text
 from zassenhaus.verify import builtin_specs
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -84,6 +88,78 @@ def sha256_of(argv: list[str]) -> str:
     return hashlib.sha256(stdout_of(argv).encode()).hexdigest()
 
 
+def _alternation(levels: int) -> str:
+    text = "free(1)"
+    for i in range(levels):
+        text = f"free(1) {'*x'[i % 2]} ({text})"
+    return text
+
+
+def _random_expression(rng: random.Random, depth: int = 0) -> str:
+    if depth > 3 or rng.random() < 0.4:
+        name = rng.choice(["free", "cyclic", "demushkin", "zp", "superpyth"])
+        return f"{name}({rng.randrange(0, 12)})"
+    factors = [_random_expression(rng, depth + 1) for _ in range(rng.randrange(1, 4))]
+    text = rng.choice([" * ", " x ", "*", "x"]).join(factors)
+    return f"({text})" if rng.random() < 0.5 else text
+
+
+# pieces of expressions, a few of them wrong, for the corpus's token soup
+_PIECES = [
+    "free", "cyclic", "zp", "demushkin", "superpyth", "braid", "free(2)", "cyclic(2)",
+    "x", "xx", "*", "(", ")", ",", " ", " ", "1", "2", "07", "_", "+", "\t", "\u00a0",
+]
+
+
+def parse_corpus() -> list[str]:
+    """The expressions whose parse outcome is pinned, each once, in a fixed order."""
+    texts = [
+        "", "   ", "free(1) + free(2)", "free(\u00b2)", "free(\u0663)", "cyclic(\uff12)",
+        "free(1)\u00a0x free(2)", "free(1)\u200bx free(2)", "free(1) *", "* free(1)",
+        "()", "free(1) * ()", "braid(3)", "x(2)", "free 1", "free", "free()", "free(x)",
+        "free(2, 3)", "free(2 3)", "free(2", "(free(2)", "(free(2) free(3))", "free(2) free(3)",
+        "free(1))", "free(1) x", "free(1)xcyclic(2)", "free(1)xx(2)", "free(1) xcyclic(2)",
+        "(free(1)*zp(1))xdemushkin(2)xfree(2)", "FREE(1)", "free_(1)", "free1(1)",
+        "cyclic(2) * (free(1) x zp(2))", "superpyth(0) x superpyth(3)",
+        "(" * 1000 + "free(1)" + ")" * 1000,
+        "(" * 1000 + "free(1) * (zp(1) x cyclic(2))" + ")" * 1000,
+        "(" * 1000 + "free(1)" + ")" * 999,
+        _alternation(2000),
+        " * ".join(["cyclic(2)"] * 1200),
+    ]
+    rng = random.Random(20260127)
+    for _ in range(250):
+        text = _random_expression(rng)
+        if rng.random() < 0.5:
+            # one character deleted, doubled or replaced by a piece
+            i = rng.randrange(len(text))
+            text = rng.choice([
+                text[:i] + text[i + 1:],
+                text[:i] + text[i] + text[i:],
+                text[:i] + rng.choice(_PIECES) + text[i + 1:],
+            ])
+        texts.append(text)
+    for _ in range(250):
+        texts.append("".join(rng.choice(_PIECES) for _ in range(rng.randrange(1, 12))))
+    return list(dict.fromkeys(texts))
+
+
+def _short(text: str) -> str:
+    """The text itself, or its sha256 past 200 characters."""
+    if len(text) <= 200:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+def parse_outcome(text: str) -> list:
+    """[type, message, position] for an error, ["ok", to_text, repr] otherwise."""
+    try:
+        spec = parse_group_spec(text)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc), getattr(exc, "position", None)]
+    return ["ok", _short(to_text(spec)), _short(repr(spec))]
+
+
 def demo_stdout(name: str) -> str:
     """stdout of demos/<name>, run as a script with src on the path."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -118,6 +194,14 @@ def test_demo_list_matches_snapshots():
     assert list(recorded) == DEMOS
 
 
+def test_parse_outcomes_match_snapshots():
+    recorded = json.loads((GOLDEN / "parse.json").read_text(encoding="utf-8"))
+    texts = parse_corpus()
+    assert list(recorded) == [_short(text) for text in texts]
+    for text in texts:
+        assert parse_outcome(text) == recorded[_short(text)], text
+
+
 @pytest.mark.parametrize("name", DEMOS)
 def test_demo_outputs_match_snapshots(name):
     recorded = json.loads((GOLDEN / "demos.json").read_text(encoding="utf-8"))
@@ -136,3 +220,5 @@ if __name__ == "__main__":
     (GOLDEN / "basis.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
     snap = {name: demo_stdout(name) for name in DEMOS}
     (GOLDEN / "demos.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
+    snap = {_short(text): parse_outcome(text) for text in parse_corpus()}
+    (GOLDEN / "parse.json").write_text(json.dumps(snap, indent=1) + "\n", encoding="utf-8")
