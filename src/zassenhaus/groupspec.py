@@ -170,10 +170,10 @@ def check_prime(p: int) -> None:
 
 # str.isdigit also accepts other scripts' digits and superscripts
 _DIGITS = frozenset("0123456789")
-_PUNCTUATION = {"*": "star", "(": "lparen", ")": "rparen", ",": "comma"}
 
 
-def _tokenize(text: str):
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, then an "end" token; '*(),' are kinds."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -181,102 +181,74 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch in _PUNCTUATION:
-            tokens.append((_PUNCTUATION[ch], ch, i))
-            i += 1
+        j = i + 1
+        if ch in "*(),":
+            kind = ch
         elif ch in _DIGITS:
-            j = i
+            kind = "int"
             while j < n and text[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
         elif ch.isalpha() or ch == "_":
-            j = i + 1
+            kind = "name"
             # Only an operator may follow ')', so an 'x' there is one even
             # when a leaf name is glued to it, as in 'free(1)xcyclic(2)'.
-            if not (ch == "x" and tokens and tokens[-1][0] == "rparen"):
+            if not (ch == "x" and tokens and tokens[-1][0] == ")"):
                 while j < n and (text[j].isalnum() or text[j] == "_"):
                     j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
         else:
             raise ParseError(f"unexpected character {ch!r}", i)
+        tokens.append((kind, text[i:j], i))
+        i = j
     tokens.append(("end", "", n))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what}", tok[2])
-        return self.advance()
-
-    def parse(self) -> GroupSpec:
-        # One frame per open '(' (plus the outermost): its '*' terms, each a
-        # list of its 'x' factors. Nesting grows this list, not the call stack.
-        frames = [[[]]]
-        while True:
-            while self.peek()[0] == "lparen":
-                self.advance()
-                frames.append([[]])
-            item = self.parse_leaf()
-            while True:
-                frames[-1][-1].append(item)
-                kind, value, pos = self.peek()
-                if kind == "star":
-                    frames[-1].append([])
-                    break
-                if kind == "name" and value == "x":
-                    break
-                item = _group(frames.pop())
-                if not frames:
-                    if kind != "end":
-                        raise ParseError(f"unexpected trailing input {value!r}", pos)
-                    return item
-                self.expect("rparen", "')'")
-            self.advance()
-
-    def parse_leaf(self) -> GroupSpec:
-        kind, value, pos = self.peek()
-        if kind != "name":
-            raise ParseError("expected a group expression", pos)
-        if value not in _LEAF_NAMES:
-            raise ParseError(f"unknown constructor {value!r}", pos)
-        self.advance()
-        self.expect("lparen", f"'(' after {value!r}")
-        kind2, value2, pos2 = self.peek()
-        if kind2 != "int":
-            raise ArityError(f"{value} takes one integer argument", pos2)
-        self.advance()
-        kind3, _, pos3 = self.peek()
-        if kind3 != "rparen":
-            raise ArityError(f"{value} takes exactly one argument", pos3)
-        self.advance()
-        return _LEAF_NAMES[value](int(value2))
-
-
-def _group(terms: list[list[GroupSpec]]) -> GroupSpec:
-    """The node of one parenthesised group; a lone atom stands for itself."""
-    factors = [t[0] if len(t) == 1 else DirectProduct(*t) for t in terms]
-    return factors[0] if len(factors) == 1 else FreeProduct(*factors)
+def _leaf(tokens: list[tuple[str, str, int]], i: int) -> GroupSpec:
+    """The leaf 'name(int)' in tokens[i:i + 4]; the end token bounds each read."""
+    kind, name, pos = tokens[i]
+    if kind != "name":
+        raise ParseError("expected a group expression", pos)
+    if name not in _LEAF_NAMES:
+        raise ParseError(f"unknown constructor {name!r}", pos)
+    if tokens[i + 1][0] != "(":
+        raise ParseError(f"expected '(' after {name!r}", tokens[i + 1][2])
+    kind, arg, pos = tokens[i + 2]
+    if kind != "int":
+        raise ArityError(f"{name} takes one integer argument", pos)
+    if tokens[i + 3][0] != ")":
+        raise ArityError(f"{name} takes exactly one argument", tokens[i + 3][2])
+    return _LEAF_NAMES[name](int(arg))
 
 
 def parse_group_spec(text: str) -> GroupSpec:
     """Parse an expression like 'cyclic(2) * (free(1) x zp(2))'."""
-    return _Parser(text).parse()
+    # One frame per open '(' (plus the outermost): its '*' terms, each a
+    # list of its 'x' factors. Nesting grows this list, not the call stack.
+    tokens, i, frames = _tokenize(text), 0, [[[]]]
+    while True:
+        while tokens[i][0] == "(":
+            frames.append([[]])
+            i += 1
+        item = _leaf(tokens, i)
+        i += 4
+        while True:
+            frames[-1][-1].append(item)
+            kind, value, pos = tokens[i]
+            if kind == "*" or (kind, value) == ("name", "x"):
+                break
+            # the frame closes; a lone factor or term stands for itself
+            terms = [t[0] if len(t) == 1 else DirectProduct(*t) for t in frames.pop()]
+            item = terms[0] if len(terms) == 1 else FreeProduct(*terms)
+            if not frames:
+                if kind != "end":
+                    raise ParseError(f"unexpected trailing input {value!r}", pos)
+                return item
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            i += 1
+        if kind == "*":
+            frames[-1].append([])
+        i += 1
 
 
 _LEAF_TEXT = {cls: name for name, cls in _LEAF_NAMES.items()}
