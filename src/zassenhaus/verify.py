@@ -306,8 +306,8 @@ def closedform_checks(p: int = 2, order: int = 24) -> list[CheckResult]:
         name = f"power sums: multinomial vs Newton route, d={d}, p={p}"
         f = (1,) + (-d,) * p
         # s_n = n [t^n] log(1 / f), the coefficient of t^(n-1) in -f' / f
-        newton = _quotient([k * d for k in range(1, p + 1)], f, 14)
-        multi = [power_sums_free_product_cp(d, p, n) for n in range(1, 16)]
+        newton = _quotient([k * d for k in range(1, p + 1)], f, order - 1)
+        multi = [power_sums_free_product_cp(d, p, n) for n in degrees]
         out.append(_compare(name, f"d={d}", newton, multi))
 
     return out

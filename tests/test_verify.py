@@ -195,6 +195,20 @@ def test_power_sums_fault(monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_power_sums_are_compared_to_max_n(monkeypatch, p):
+    # a fault past s_15 shows: the multinomial check runs to the order asked for
+    monkeypatch.setattr(
+        verify, "power_sums_free_product_cp", _bumped(verify.power_sums_free_product_cp, 20)
+    )
+    s20 = [_quotient([k * d for k in range(1, p + 1)], (1,) + (-d,) * p, 19)[19] for d in range(5)]
+    assert _failures(verify.closedform_checks(p, 24)) == [
+        f"power sums: multinomial vs Newton route, d={d}, p={p}: spec=d={d} "
+        f"n=20 expected={s} got={s + 1}"
+        for d, s in enumerate(s20)
+    ]
+
+
 def test_superpyth_pattern_fault(monkeypatch):
     real = verify.superpyth_c_expected
 
