@@ -51,20 +51,21 @@ def test_finite_alone_loads_no_other_program_module():
     assert out == ["zassenhaus", "zassenhaus.finite"]
 
 
-COMMANDS = [
-    ["dims", "free(2)", "--max-n", "8"],
-    ["series", "cyclic(2) * free(2)", "--max-n", "8"],
-    ["basis", "2", "--degree", "4"],
-]
+COMMANDS = {
+    "dims": ["dims", "free(2)", "--max-n", "8"],
+    "series": ["series", "cyclic(2) * free(2)", "--max-n", "8"],
+    "series-closed-form": ["series", "cyclic(2) * free(2)", "--closed-form"],
+    "basis": ["basis", "2", "--degree", "4"],
+}
 
 
 # every format's output is built in cli, from what the command computes
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(argv + fmt, id="-".join([argv[0], *fmt[1:]]))
+        pytest.param(argv + fmt, id="-".join([name, *fmt[1:]]))
         for fmt in ([], ["--format", "json"], ["--format", "csv"])
-        for argv in COMMANDS
+        for name, argv in COMMANDS.items()
     ],
 )
 def test_commands_load_neither_numpy_nor_the_oracles(argv):
@@ -73,6 +74,9 @@ def test_commands_load_neither_numpy_nor_the_oracles(argv):
     if argv[0] == "dims":
         assert "zassenhaus.hall" not in modules
         assert "zassenhaus.dimensions" in modules
+    if argv[0] == "series":
+        assert "zassenhaus.groupspec" in modules
+        assert not {"zassenhaus.hall", "zassenhaus.dimensions"} & modules
     if argv[0] == "basis":
         # the typed errors of the series pipeline load only on the error path
         assert "zassenhaus.hall" in modules
