@@ -173,7 +173,7 @@ _DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) triples, then an "end" token; '*(),' are kinds."""
+    """(kind, text, position) triples, then an "end" token; '*(),' are kinds of their own."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -204,7 +204,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def _leaf(tokens: list[tuple[str, str, int]], i: int) -> GroupSpec:
-    """The leaf 'name(int)' in tokens[i:i + 4]; the end token bounds each read."""
+    """The leaf 'name(int)' in tokens[i:i + 4]; the end token keeps each index in range."""
     kind, name, pos = tokens[i]
     if kind != "name":
         raise ParseError("expected a group expression", pos)
