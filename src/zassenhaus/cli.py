@@ -47,7 +47,7 @@ SUITES = {
     "closedforms": ("closed formulas",
                     lambda verify, a: verify.closedform_checks(a.prime, a.max_n)),
     "finite": ("matrix groups up to order 32768, group-algebra checks up to order 1024",
-               lambda verify, a: verify.finite_checks(a.include_slow)),
+               lambda verify, a: verify.finite_checks()),
 }
 
 _GRAMMAR_HELP = (
@@ -231,9 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     suite_help = ", ".join(f"{name} ({text})" for name, (text, _) in SUITES.items())
     p_verify.add_argument("--suite", choices=[*SUITES, "all"], default="all",
                           help=suite_help + ", or all (default)")
-    p_verify.add_argument("--include-slow", action="store_true",
-                          help="include the group-algebra check of the order-729 "
-                               "unitriangular group U(4, 3) (about 2 s in all)")
     common(p_verify)
     return parser
 
@@ -266,9 +263,21 @@ def _report_error(exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # coefficients are exact and may run past the default 4300 printable digits
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # Coefficients are exact and may run past the default 4300 printable
+    # digits, so the limit is lifted while the command runs and restored
+    # when it returns: a caller in the same process keeps its own limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv: list[str] | None) -> int:
+    """Parse the options, run the command and print its lines; the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

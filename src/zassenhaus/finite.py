@@ -514,30 +514,49 @@ def _row_echelon_gf2(m: np.ndarray) -> np.ndarray:
     return np.unpackbits(bits, axis=1, count=cols).astype(np.int64)
 
 
+def _heaviest_first(group: FiniteGroup) -> np.ndarray:
+    """Elements in the coordinate order of F_p[G] for group_algebra_aug_dims.
+
+    Heaviest first: the most nonzero matrix entries, then the larger entry
+    sum, then the lower index.  The identity, with no nonzero entry, comes
+    last.
+    """
+    digits = group.matrices(np.arange(group.order))[:, group._rows, group._cols]
+    # an entry sum is at most d (p - 1), below |G| = p^d, so one integer
+    # ranks by the nonzero count first; the stable sort keeps index order
+    weight = np.count_nonzero(digits, axis=1) * group.order + digits.sum(axis=1, dtype=np.int64)
+    return np.array(sorted(range(group.order), key=weight.tolist().__getitem__, reverse=True))
+
+
 def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     """Dimensions a_n of I^n / I^(n+1) for the augmentation ideal I of F_p[G].
 
     Returns a_0..a_depth; once I^n vanishes the remaining entries are 0.
-    Vectors live in F_p^|G| indexed by group elements.  I has the basis
-    g - 1 for g != 1; by fact (b) of the module docstring I^(n+1) is spanned
-    by b s - b over basis vectors b of I^n and the generators s, and right
-    multiplication by s permutes coordinates.
+    Vectors live in F_p^|G|, one coordinate per group element, in the order
+    of _heaviest_first.  I has the basis g - 1 for g != 1; by fact (b) of
+    the module docstring I^(n+1) is spanned by b s - b over basis vectors b
+    of I^n and the generators s, and right multiplication by s permutes
+    coordinates.  Ranks do not depend on the coordinate order, which is a
+    permutation of F_p^|G|; the order only changes how much work the
+    eliminations take.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     n_el = group.order
     p = group.p
-    all_idx = np.arange(n_el, dtype=np.int64)
+    order = _heaviest_first(group)
+    position = np.empty(n_el, dtype=np.int64)
+    position[order] = np.arange(n_el, dtype=np.int64)
     # (v s)[h] = v[h s^-1]: right multiplication by s gathers coordinates,
     # one row of gathers per generator s
-    gathers = group.mult(all_idx[None, :], group.inverse(group.generators())[:, None])
+    gathers = position[group.mult(order[None, :], group.inverse(group.generators())[:, None])]
 
     # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
     # lies in [0, 2p); row_echelon_mod_p reduces its input itself
     dtype = np.min_scalar_type(2 * p)
-    basis = np.zeros((n_el - 1, n_el), dtype=dtype)
-    basis[:, 1:] = np.eye(n_el - 1, dtype=dtype)
-    basis[:, group.identity] = p - 1
+    one = int(position[group.identity])
+    basis = np.delete(np.eye(n_el, dtype=dtype), one, axis=0)
+    basis[:, one] = p - 1
 
     ranks = [n_el, basis.shape[0]]
     while basis.shape[0] and len(ranks) <= depth + 1:

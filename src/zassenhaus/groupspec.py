@@ -18,6 +18,7 @@ divides once, and closed_form keeps it exact and reduces it once.
 """
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -217,7 +218,16 @@ def _leaf(tokens: list[tuple[str, str, int]], i: int) -> GroupSpec:
         raise ArityError(f"{name} takes one integer argument", pos)
     if tokens[i + 3][0] != ")":
         raise ArityError(f"{name} takes exactly one argument", tokens[i + 3][2])
-    return _LEAF_NAMES[name](int(arg))
+    try:
+        value = int(arg)
+    except ValueError:
+        # the digits are ASCII, so only the interpreter's limit on the
+        # length of an integer string can refuse them
+        raise ParseError(
+            f"{name} argument has {len(arg)} digits, over the interpreter's "
+            f"limit of {sys.get_int_max_str_digits()}", pos
+        ) from None
+    return _LEAF_NAMES[name](value)
 
 
 def parse_group_spec(text: str) -> GroupSpec:

@@ -347,12 +347,12 @@ def _check_jl_finite(name: str, group: fin.FiniteGroup, depth: int) -> CheckResu
     return result
 
 
-def group_algebra_cases(include_slow: bool = False) -> list[tuple[str, fin.FiniteGroup, int]]:
+def group_algebra_cases() -> list[tuple[str, fin.FiniteGroup, int]]:
     """(label, group, filtration depth) of each group-algebra check."""
     from . import finite as fin
 
     c2 = fin.cyclic_group(2)
-    cases = [
+    return [
         ("cyclic(2)", c2, 3),
         ("cyclic(3)", fin.cyclic_group(3), 3),
         ("cyclic(2) x cyclic(2)", fin.direct_product(c2, c2), 3),
@@ -361,13 +361,11 @@ def group_algebra_cases(include_slow: bool = False) -> list[tuple[str, fin.Finit
         ("unitriangular(3, 5)", fin.unitriangular_group(3, 5), 3),
         ("unitriangular(3, 7)", fin.unitriangular_group(3, 7), 3),
         ("unitriangular(5, 2)", fin.unitriangular_group(5, 2), 6),
+        ("unitriangular(4, 3)", fin.unitriangular_group(4, 3), 4),
     ]
-    if include_slow:
-        cases.append(("unitriangular(4, 3)", fin.unitriangular_group(4, 3), 4))
-    return cases
 
 
-def finite_checks(include_slow: bool = False) -> list[CheckResult]:
+def finite_checks() -> list[CheckResult]:
     from . import finite as fin
 
     out = []
@@ -393,7 +391,7 @@ def finite_checks(include_slow: bool = False) -> list[CheckResult]:
         out.append(_compare(name, name, [1, 0, 0, 0], filt.dims))
 
     # group algebra dimensions match the polynomial from the filtration
-    for label, group, depth in group_algebra_cases(include_slow):
+    for label, group, depth in group_algebra_cases():
         out.append(_check_jl_finite(f"group algebra vs filtration: {label}", group, depth))
 
     # every filtration member must be normal

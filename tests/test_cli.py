@@ -19,7 +19,7 @@ import zassenhaus.dimensions
 import zassenhaus.verify
 from zassenhaus import cli, numtheory
 from zassenhaus.dimensions import NonIntegralW
-from zassenhaus.groupspec import parse_group_spec
+from zassenhaus.groupspec import ParseError, parse_group_spec
 from zassenhaus.series import NonIntegralLog
 from zassenhaus.verify import CheckResult
 
@@ -189,7 +189,7 @@ class TestVerify:
     @pytest.mark.parametrize("max_n", [0, 1, 2])
     def test_small_max_n(self, capsys, monkeypatch, max_n):
         monkeypatch.setattr(
-            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("stub", True)]
+            zassenhaus.verify, "finite_checks", lambda: [CheckResult("stub", True)]
         )
         code, out, err = run(["verify", "--suite", "all", "--max-n", str(max_n)], capsys)
         assert code == 0 and err == ""
@@ -200,7 +200,7 @@ class TestVerify:
     def test_json_format(self, capsys, monkeypatch):
         # the finite suite has its own test; a stub keeps this one fast
         monkeypatch.setattr(
-            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("stub", True)]
+            zassenhaus.verify, "finite_checks", lambda: [CheckResult("stub", True)]
         )
         code, out, err = run(
             ["verify", "--suite", "all", "--max-n", "6", "--format", "json"], capsys
@@ -265,7 +265,7 @@ class TestVerify:
             cli.SUITES, "stub", ("a stub", lambda verify, a: [CheckResult("stub check", True)])
         )
         monkeypatch.setattr(
-            zassenhaus.verify, "finite_checks", lambda slow: [CheckResult("finite stub", True)]
+            zassenhaus.verify, "finite_checks", lambda: [CheckResult("finite stub", True)]
         )
         code, out, err = run(["verify", "--suite", "stub"], capsys)
         assert (code, out, err) == (0, "PASS stub check\n1/1 checks passed\n", "")
@@ -408,6 +408,34 @@ class TestExitCodes:
         last = out.strip().strip("[]").split(", ")[-1]
         assert len(last) == 4501 and last == "1" + "0" * 4500
 
+    def test_long_leaf_argument_runs(self, capsys):
+        code, out, err = run(["dims", "free(" + "1" * 5000 + ")", "--max-n", "2"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split()[1] == "1" * 5000
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits") or not 0 < sys.get_int_max_str_digits() < 5000,
+        reason="needs the interpreter's limit on integer strings below 5000 digits",
+    )
+    def test_main_restores_the_int_string_limit(self, capsys):
+        # parse_group_spec refuses the long argument before a main call and
+        # after one, whether the command succeeds or fails
+        text = "free(" + "1" * 5000 + ")"
+        limit = sys.get_int_max_str_digits()
+        message = f"free argument has 5000 digits, over the interpreter's limit of {limit}"
+        for argv, want in [
+            (["dims", text, "--max-n", "2"], 0),
+            (["dims", "free(2"], 2),
+            (["verify", "--include-slow"], 2),
+        ]:
+            with pytest.raises(ParseError, match=message) as info:
+                parse_group_spec(text)
+            assert info.value.position == 5
+            assert run(argv, capsys)[0] == want
+            assert sys.get_int_max_str_digits() == limit
+        with pytest.raises(ParseError, match=message):
+            parse_group_spec(text)
+
     def test_closed_stdout_exits_quietly(self):
         # about 1.4 MB of output, far past any pipe buffer, so the writes
         # after the reader has gone fail with EPIPE
@@ -440,6 +468,15 @@ class TestExitCodes:
         code, out, _ = run(["--help"], capsys)
         assert code == 0
         assert "dims" in out and "verify" in out
+
+    def test_include_slow_is_gone(self, capsys):
+        # the order-729 group algebra runs in the default finite suite
+        code, out, err = run(["verify", "--include-slow"], capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "usage: zass [-h] {dims,series,basis,verify} ...\n"
+            "zass: error: unrecognized arguments: --include-slow\n"
+        )
 
     def test_missing_subcommand(self, capsys):
         code, _, err = run([], capsys)

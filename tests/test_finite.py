@@ -794,6 +794,39 @@ class TestIndependence:
             )
 
 
+class TestCoordinateOrder:
+    """group_algebra_aug_dims orders the coordinates of F_p[G] heaviest first;
+    a permutation of the coordinates changes no rank."""
+
+    GROUPS = dict(
+        _small_groups(),
+        **{"U(3,5)": fin.unitriangular_group(3, 5), "U(4,2)xU(2,2)": _larger_groups()["U(4,2)xU(2,2)"]},
+    )
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_heaviest_first_ends_with_the_identity(self, name):
+        group = self.GROUPS[name]
+        order = fin._heaviest_first(group).tolist()
+        assert sorted(order) == list(range(group.order))
+        assert order[-1] == group.identity
+        # off-diagonal entries of each matrix, read from the decode table
+        mats = group.matrices(np.array(order)).astype(np.int64)
+        nonzero = np.count_nonzero(mats, axis=(1, 2)) - group.size
+        sums = mats.sum(axis=(1, 2)) - group.size
+        keys = [(-int(k), -int(s), g) for k, s, g in zip(nonzero, sums, order)]
+        assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_dims_do_not_depend_on_the_order(self, monkeypatch, name):
+        group = self.GROUPS[name]
+        depth = 12
+        want = fin.group_algebra_aug_dims(group, depth)
+        rng = np.random.default_rng(20141)
+        for order in (np.arange(group.order), rng.permutation(group.order)):
+            monkeypatch.setattr(fin, "_heaviest_first", lambda g, order=order: order)
+            assert fin.group_algebra_aug_dims(group, depth) == want
+
+
 @pytest.mark.parametrize("p", [2, 3])
 class TestTrivialGroup:
     """U(1, p) has order 1 and no generators; a trivial direct factor

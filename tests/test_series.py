@@ -220,7 +220,7 @@ def test_product_identity_rhs_output_type():
 
 
 def test_jl_polynomial_unchanged_on_finite_suite_groups():
-    for label, group, depth in verify.group_algebra_cases(include_slow=True):
+    for label, group, depth in verify.group_algebra_cases():
         c = verify._dims_until_trivial(finite.zassenhaus_filtration_finite(group, depth))
         degree = (group.p - 1) * sum(n * cn for n, cn in enumerate(c, start=1))
         dense = _dense_product_identity(c, group.p, degree).int_coeffs()
