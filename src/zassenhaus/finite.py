@@ -554,8 +554,12 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     # basis entries lie in [0, p), so b s - b, formed as b s + (p - b),
     # lies in [0, 2p); row_echelon_mod_p reduces its input itself
     dtype = np.min_scalar_type(2 * p)
+    # the basis g - 1 of I: a 1 at the coordinate of each g != 1, and p - 1
+    # at that of the identity, the last one in heaviest-first order
     one = int(position[group.identity])
-    basis = np.delete(np.eye(n_el, dtype=dtype), one, axis=0)
+    basis = np.zeros((n_el - 1, n_el), dtype=dtype)
+    basis[:one, :one] = np.eye(one, dtype=dtype)
+    basis[one:, one + 1:] = np.eye(n_el - 1 - one, dtype=dtype)
     basis[:, one] = p - 1
 
     ranks = [n_el, basis.shape[0]]
