@@ -521,11 +521,14 @@ def _heaviest_first(group: FiniteGroup) -> np.ndarray:
     sum, then the lower index.  The identity, with no nonzero entry, comes
     last.
     """
-    digits = group.matrices(np.arange(group.order))[:, group._rows, group._cols]
+    n_el = group.order
+    digits = group.matrices(np.arange(n_el))[:, group._rows, group._cols]
     # an entry sum is at most d (p - 1), below |G| = p^d, so one integer
-    # ranks by the nonzero count first; the stable sort keeps index order
-    weight = np.count_nonzero(digits, axis=1) * group.order + digits.sum(axis=1, dtype=np.int64)
-    return np.array(sorted(range(group.order), key=weight.tolist().__getitem__, reverse=True))
+    # ranks by the nonzero count first
+    weight = np.count_nonzero(digits, axis=1) * n_el + digits.sum(axis=1, dtype=np.int64)
+    # sort keys that hold the index in their lowest base-|G| digit: the
+    # heavier element first, the lower index among equals
+    return np.sort(np.arange(n_el) - weight * n_el) % n_el
 
 
 def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
@@ -566,8 +569,9 @@ def group_algebra_aug_dims(group: FiniteGroup, depth: int) -> list[int]:
     while basis.shape[0] and len(ranks) <= depth + 1:
         # moved[i, j] is basis row j times generator i: the stack holds one
         # block of all basis rows per generator, in that order, which the
-        # pivots at odd p depend on
-        moved = basis[:, gathers].transpose(1, 0, 2)
+        # pivots at odd p depend on; np.take gathers the 500 x 1024 U(5,2)
+        # rows about twice as fast as the fancy index basis[:, gathers]
+        moved = np.take(basis, gathers, axis=1).transpose(1, 0, 2)
         stacked = np.empty(moved.shape, dtype=dtype)
         np.add(moved, p - basis, out=stacked)
         basis = row_echelon_mod_p(stacked.reshape(-1, n_el), p).astype(dtype)
