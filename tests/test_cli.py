@@ -426,7 +426,7 @@ class TestExitCodes:
         for argv, want in [
             (["dims", text, "--max-n", "2"], 0),
             (["dims", "free(2"], 2),
-            (["verify", "--include-slow"], 2),
+            (["verify", "--suite", "none"], 2),
         ]:
             with pytest.raises(ParseError, match=message) as info:
                 parse_group_spec(text)
@@ -469,8 +469,8 @@ class TestExitCodes:
         assert code == 0
         assert "dims" in out and "verify" in out
 
-    def test_include_slow_is_gone(self, capsys):
-        # the order-729 group algebra runs in the default finite suite
+    def test_removed_slow_option_is_refused(self, capsys):
+        # the order-729 group algebra it added runs in the default finite suite
         code, out, err = run(["verify", "--include-slow"], capsys)
         assert (code, out) == (2, "")
         assert err == (

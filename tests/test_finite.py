@@ -798,10 +798,7 @@ class TestCoordinateOrder:
     """group_algebra_aug_dims orders the coordinates of F_p[G] heaviest first;
     a permutation of the coordinates changes no rank."""
 
-    GROUPS = dict(
-        _small_groups(),
-        **{"U(3,5)": fin.unitriangular_group(3, 5), "U(4,2)xU(2,2)": _larger_groups()["U(4,2)xU(2,2)"]},
-    )
+    GROUPS = {**_small_groups(), **_larger_groups()}
 
     @pytest.mark.parametrize("name", sorted(GROUPS))
     def test_heaviest_first_ends_with_the_identity(self, name):
