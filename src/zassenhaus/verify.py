@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import comb, factorial
+from math import comb
 from typing import TYPE_CHECKING
 
 from .dimensions import dims_table
@@ -194,19 +194,6 @@ def w_demushkin_closed(d: int, n: int) -> int:
     return moebius_inversion(lucas, n)
 
 
-def _exponent_tuples(n: int, p: int):
-    """All (k_1, ..., k_p) with k_i >= 0 and sum i*k_i = n."""
-
-    def rec(size, remaining, suffix):
-        if size == 1:
-            yield (remaining,) + suffix
-            return
-        for k in range(remaining // size + 1):
-            yield from rec(size - 1, remaining - size * k, (k,) + suffix)
-
-    yield from rec(p, n, ())
-
-
 def power_sums_free_product_cp(d: int, p: int, n: int) -> int:
     """Power sums of the inverse roots of 1 - d t - d t^2 - ... - d t^p.
 
@@ -214,21 +201,25 @@ def power_sums_free_product_cp(d: int, p: int, n: int) -> int:
     factor; computed by the explicit multinomial sum
 
         s_n = sum over k_1 + 2 k_2 + ... + p k_p = n of
-              (n / K) * K! / (k_1! ... k_p!) * d^K,   K = k_1 + ... + k_p.
+              (n / K) * K! / (k_1! ... k_p!) * d^K,   K = k_1 + ... + k_p,
+
+    taken K at a time: the multinomials with the same K add up to the number
+    of compositions of n into K parts from 1..p, counted by inclusion-exclusion
+    over the j parts that exceed p,
+
+        N_p(n, K) = sum_{0 <= j <= (n - K)/p} (-1)^j C(K, j) C(n - jp - 1, K - 1).
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if d < 0 or n < 1:
         raise ValueError("need d >= 0 and n >= 1")
     terms = []
-    for ks in _exponent_tuples(n, p):
-        big_k = sum(ks)
-        if big_k == 0:
-            continue
-        multinomial = factorial(big_k)
-        for k in ks:
-            multinomial //= factorial(k)
-        terms.append((n * multinomial, big_k, d ** big_k))
+    for big_k in range(-(-n // p), n + 1):
+        count = sum(
+            (-1) ** j * comb(big_k, j) * comb(n - j * p - 1, big_k - 1)
+            for j in range((n - big_k) // p + 1)
+        )
+        terms.append((n * count, big_k, d ** big_k))
     return _integer_sum(n, terms)
 
 

@@ -176,6 +176,14 @@ class TestVerify:
         assert "checks passed" in out.strip().splitlines()[-1]
         assert "FAIL" not in out
 
+    def test_closedforms_at_a_prime_past_the_recursion_limit(self, capsys):
+        # the multinomial power sums take no recursion p frames deep
+        code, out, err = run(
+            ["verify", "--suite", "closedforms", "--prime", "1009", "--max-n", "8"], capsys
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[-1] == "39/39 checks passed"
+
     def test_failure_exits_1(self, capsys, monkeypatch):
         monkeypatch.setattr(
             zassenhaus.verify,

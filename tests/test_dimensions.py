@@ -191,9 +191,10 @@ class TestIntegralityChecks:
             w_demushkin_closed(3, 2)
 
     def test_power_sums_free_product_cp(self, monkeypatch):
-        monkeypatch.setattr(verify, "_exponent_tuples", lambda n, p: iter([(2, 0)]))
-        with pytest.raises(NonIntegralW, match="s_1 = 1/2"):
-            power_sums_free_product_cp(1, 2, 1)
+        # every binomial reads 1: s_3 = (3/2) * 1 + (3/3) * 1 at d = 1
+        monkeypatch.setattr(verify, "comb", lambda a, b: 1)
+        with pytest.raises(NonIntegralW, match="^s_3 = 5/2 is not an integer$"):
+            power_sums_free_product_cp(1, 2, 3)
 
     def test_dims_table_constant_term(self, monkeypatch):
         monkeypatch.setattr(

@@ -168,7 +168,6 @@ CLOSED_FORMULAS = (
     "w_demushkin_power_sum",
     "w_demushkin_closed",
     "power_sums_free_product_cp",
-    "_exponent_tuples",
 )
 
 

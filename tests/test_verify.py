@@ -1,5 +1,6 @@
 """The user-facing verification suites must themselves be green."""
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -36,11 +37,36 @@ def test_demushkin_exponents_binomial_form_matches_power_sums(d, n):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 5), st.integers(1, 30))
+@given(st.sampled_from([2, 3, 5, 7, 11, 1009]), st.integers(0, 5), st.integers(1, 30))
 def test_multinomial_power_sums_match_newton_route(p, d, n):
     # s_n is the coefficient of t^(n-1) in -f'/f for f = 1 - d t - ... - d t^p
     newton = _quotient([k * d for k in range(1, p + 1)], (1,) + (-d,) * p, n - 1)
     assert verify.power_sums_free_product_cp(d, p, n) == newton[n - 1]
+
+
+def _part_counts(n, p):
+    """The number of parts of each composition of n into parts from 1..p.
+
+    A composition is the set of its cut points among 1..n-1, read as a bit mask.
+    """
+    for cuts in range(2 ** (n - 1)):
+        ends = [i for i in range(1, n) if cuts >> (i - 1) & 1] + [n]
+        if all(b - a <= p for a, b in zip([0] + ends, ends)):
+            yield len(ends)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_multinomial_power_sums_match_composition_enumeration(p):
+    # each exponent tuple with K parts stands for K! / (k_1! ... k_p!) compositions
+    for n in range(1, 15):
+        parts = list(_part_counts(n, p))
+        for d in range(6):
+            want = sum(Fraction(n, k) * d ** k for k in parts)
+            assert verify.power_sums_free_product_cp(d, p, n) == want
+
+
+def test_closedform_suite_past_the_recursion_limit():
+    _assert_all(verify.closedform_checks(1009, 8))
 
 
 def test_catalog_covers_each_constructor():
