@@ -177,7 +177,7 @@ class TestVerify:
         assert "FAIL" not in out
 
     def test_closedforms_at_a_prime_past_the_recursion_limit(self, capsys):
-        # the multinomial power sums take no recursion p frames deep
+        # p = 1009 lies past Python's default recursion limit of 1000
         code, out, err = run(
             ["verify", "--suite", "closedforms", "--prime", "1009", "--max-n", "8"], capsys
         )
