@@ -35,6 +35,6 @@ assert a[: len(poly)] == list(poly)
 g = fin.unitriangular_group(3, 3)
 corner = np.eye(3, dtype=np.int64)
 corner[0, 2] = 1
-sub = fin.subgroup_closure(g, g.index_of(corner[None]))
+sub, _ = fin.subgroup_closure(g, g.index_of(corner[None]))
 print()
 print("central corner element generates a subgroup of order", len(sub))

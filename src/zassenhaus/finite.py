@@ -10,10 +10,10 @@ matrices, built on first use; multiplication stays on demand as batched
 matrix products instead of a stored composition table.  Beside the decode
 table sits an inverse index, allocated on the first inverse call and filled
 only for the elements asked for, so the pair scans and the augmentation
-gathers invert each element once per group; the inverses themselves come by
-repeated squaring (see _inverse_mats).  Subgroups grow from generators by
-right multiplication against a membership bitmap, and normal closures take
-one conjugation scan per round (see _closure).
+gathers invert each element once per group; the inverses themselves are
+powers, by fact (d).  Subgroups grow from generators by right multiplication
+against a membership bitmap, and normal closures take one conjugation scan
+per round (see subgroup_closure).
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -33,6 +33,11 @@ theory and nothing of the series pipeline they check:
     Proc. LMS 1934), and in a regular p-group the elements of order
     dividing p form a subgroup.  That subgroup holds the images of S, so it
     is all of G/C, and every g^p lies in C.
+(d) in a group of m x m unitriangular matrices over F_p every g satisfies
+    g^q = 1 for q = p^ceil(log_p m), so g^-1 = g^(q-1).  Proof: g - 1 is
+    strictly upper triangular, so (g - 1)^m = 0, and q >= m; in
+    characteristic p the binomial coefficients of a p-power q vanish
+    between the ends, so (g - 1)^q = g^q - 1.
 """
 from __future__ import annotations
 
@@ -136,29 +141,11 @@ class FiniteGroup:
         mb = self.matrices(b)
         return self.index_of((ma @ mb) % self.p)
 
-    def _inverse_mats(self, mats: np.ndarray) -> np.ndarray:
-        """Inverses of unitriangular matrices 1 + N, by repeated squaring.
-
-        (1 + N)(1 - N)(1 + N^2)(1 + N^4)...(1 + N^(2^(k-1))) telescopes to
-        1 - N^(2^k): each factor 1 + N^(2^j) turns 1 - N^(2^j) into
-        1 - N^(2^(j+1)).  N is nilpotent, N^m = 0 for m x m matrices, so the
-        product stops once the squared term vanishes, after at most
-        ceil(log2 m) squarings, and is then the inverse.
-        """
-        eye = np.eye(self.size, dtype=np.int64)
-        nil = (mats.astype(np.int64) - eye) % self.p
-        acc = (eye - nil) % self.p
-        square = (nil @ nil) % self.p
-        while square.any():
-            acc = (acc + acc @ square) % self.p
-            square = (square @ square) % self.p
-        return acc.astype(self._dtype)
-
     def inverse(self, a) -> np.ndarray:
         """Elementwise inverse of an index array, read from the inverse index.
 
-        Elements not yet in the index are inverted together by
-        _inverse_mats, and each result is filed both ways.
+        Elements not yet in the index are inverted together, as their
+        (q - 1)-th powers by fact (d), and each result is filed both ways.
         """
         a = np.asarray(a, dtype=np.int64)
         if self._inverses is None:
@@ -166,7 +153,10 @@ class FiniteGroup:
         inv = self._inverses[a]
         missing = a[inv < 0]
         if missing.size:
-            found = self.index_of(self._inverse_mats(self.matrices(missing)))
+            q = 1
+            while q < self.size:
+                q *= self.p
+            found = self.power(missing, q - 1)
             self._inverses[missing] = found
             self._inverses[found] = missing
             inv = self._inverses[a]
@@ -253,8 +243,8 @@ class FiniteGroup:
     def products(self, a, b) -> np.ndarray:
         """Unique x y over all x in a, y in b.
 
-        No routine of the package calls it (_closure multiplies with mult);
-        the tests and bench/tracing.py do.
+        No routine of the package calls it (subgroup_closure multiplies with
+        mult); the tests and bench/tracing.py do.
         """
         return self._pair_scan(
             a, b, lambda x, y: (self.matrices(x) @ self.matrices(y)) % self.p
@@ -301,7 +291,9 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(g1.p, g1.size + g2.size, list(g1.positions) + shifted)
 
 
-def _closure(group: FiniteGroup, candidates, conjugate_by) -> tuple[np.ndarray, list[int]]:
+def subgroup_closure(
+    group: FiniteGroup, candidates, conjugate_by=()
+) -> tuple[np.ndarray, list[int]]:
     """Subgroup generated by the candidates and their conjugates by conjugate_by.
 
     Works in rounds.  A round takes its candidates one at a time; one already
@@ -341,12 +333,6 @@ def _closure(group: FiniteGroup, candidates, conjugate_by) -> tuple[np.ndarray, 
             break
         pending = group.conjugates(conjugate_by, kept[fresh:])
     return np.flatnonzero(member), kept
-
-
-def subgroup_closure(group: FiniteGroup, gens) -> frozenset[int]:
-    """Subgroup generated by gens."""
-    elements, _ = _closure(group, list(gens), ())
-    return frozenset(elements.tolist())
 
 
 @dataclass(frozen=True)
@@ -397,7 +383,7 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
         if k not in pth_powers:
             pth_powers[k] = _unique(group.power(chain_arrs[k - 1], p))
         candidates = np.concatenate([group.commutators(kept, generators), pth_powers[k]])
-        elements, kept = _closure(group, candidates, generators)
+        elements, kept = subgroup_closure(group, candidates, generators)
         chain_arrs.append(elements)
     chain_sets = [frozenset(arr.tolist()) for arr in chain_arrs]
     dims = []

@@ -7,6 +7,7 @@ when c1 > c2 and, if c1 = [c3, c4], additionally c2 >= c4.
 """
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .numtheory import is_prime, w_free_closed
@@ -14,6 +15,10 @@ from .numtheory import is_prime, w_free_closed
 # The most elements zassenhaus_basis lists: it holds every Hall layer up to
 # weight n in memory at once, so the cap bounds its time and memory.
 MAX_BASIS_ELEMENTS = 100_000
+
+# The most bits, n log2 d, of the largest power d^n that the exact count of a
+# rank-d basis is built from; past it the count is bounded from below.
+_EXACT_COUNT_BITS = 1 << 20
 
 
 class BasisArgumentError(ValueError):
@@ -86,6 +91,10 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     C_{pm} with exponent k - 1, ..., C_n with exponent 0, in that order.
     The size is counted first, from the necklace counts |C_w| of the chain,
     and a basis over MAX_BASIS_ELEMENTS raises BasisTooLarge unenumerated.
+    The exact count costs time linear in n log2 d, the bits of d^n, so past
+    _EXACT_COUNT_BITS of them the refusal rests on the lower bound
+    |C_n| >= (d^n - 2 d^(n//2)) / n: the Moebius sum for |C_n| subtracts at
+    most d + d^2 + ... + d^(n//2) < 2 d^(n//2) from d^n.
     """
     if not is_prime(p):
         raise BasisArgumentError(f"p must be prime, got {p}")
@@ -93,6 +102,9 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
         raise BasisArgumentError(f"rank must be >= 1, got {d}")
     if n < 1:
         raise BasisArgumentError(f"degree must be >= 1, got {n}")
+    if d >= 2 and (n > _EXACT_COUNT_BITS or n * math.log2(d) > _EXACT_COUNT_BITS):
+        # the bound is then over 2^(2^20) / 2^20, far past the cap
+        _refuse(d, p, n, f"about 2^{_bound_bit_length(d, n)}")
     k = 0
     m = n
     while m % p == 0:
@@ -101,17 +113,30 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     count = sum(w_free_closed(d, m * p ** i) for i in range(k + 1))
     if count > MAX_BASIS_ELEMENTS:
         # a count past Python's 4300-digit str limit is shown by its size
-        size = count if count.bit_length() < 10_000 else f"about 2^{count.bit_length()}"
-        raise BasisTooLarge(
-            f"the degree-{n} basis of free({d}) at p = {p} has {size} elements, "
-            f"over the cap of {MAX_BASIS_ELEMENTS}"
-        )
+        _refuse(d, p, n, count if count.bit_length() < 10_000 else f"about 2^{count.bit_length()}")
     layers = _layers(d, n)
     out = []
     for j in range(k, -1, -1):
         w = m * p ** (k - j)
         out.extend(BasisElement(c, w, j) for c in reversed(layers.get(w, [])))
     return out
+
+
+def _refuse(d: int, p: int, n: int, size) -> None:
+    raise BasisTooLarge(
+        f"the degree-{n} basis of free({d}) at p = {p} has {size} elements, "
+        f"over the cap of {MAX_BASIS_ELEMENTS}"
+    )
+
+
+def _bound_bit_length(d: int, n: int) -> int:
+    """floor(n log2 d - log2 n) + 1, the bit length of d^n / n give or take
+    one, in decimal arithmetic precise enough for any n and d."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = (n * d.bit_length()).bit_length() // 3 + 20
+        return int((n * Decimal(d).ln() - Decimal(n).ln()) / Decimal(2).ln()) + 1
 
 
 def basis_text_lines(basis: list[BasisElement], p: int) -> list[str]:

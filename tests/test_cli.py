@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,6 +166,25 @@ class TestBasis:
             "validation error: the degree-26 basis of free(2) at p = 2 has 2581425 "
             "elements, over the cap of 100000\n"
         )
+
+
+    @pytest.mark.parametrize("rank", ["2", "3"])
+    @pytest.mark.parametrize("degree", ["1000000000", "1000000000000"])
+    def test_huge_degree_exits_3_at_once(self, rank, degree):
+        # the exact count builds rank^degree: 20 s a launch at 2^(10^9)
+        env = dict(os.environ, PYTHONPATH=str(Path(zassenhaus.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "zassenhaus", "basis", rank, "--degree", degree],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(
+            f"validation error: the degree-{degree} basis of free({rank}) at p = 2 has about 2^"
+        )
+        assert elapsed < 1
 
 
 class TestVerify:

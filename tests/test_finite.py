@@ -148,8 +148,8 @@ class TestArithmetic:
     def test_cached_inverse_matches_power_series(self, make):
         g = make()
         idx = np.arange(g.order, dtype=np.int64)
-        inverses = g._inverse_mats(g.matrices(idx))
-        product = (inverses.astype(np.int64) @ g.matrices(idx)) % g.p
+        inverses = _power_series_inverse(g, idx)
+        product = (inverses @ g.matrices(idx)) % g.p
         assert (product == np.eye(g.size, dtype=np.int64)).all()
         want = g.index_of(inverses)
         # a partly filled index: some elements, with repeats, then 2-D
@@ -165,13 +165,13 @@ class TestArithmetic:
     def test_inverse_index_is_filled_once(self, monkeypatch):
         g = fin.unitriangular_group(4, 3)
         inverted = []
-        inverse_mats = fin.FiniteGroup._inverse_mats
+        power = fin.FiniteGroup.power
 
-        def counting(self, mats):
-            inverted.append(len(mats))
-            return inverse_mats(self, mats)
+        def counting(self, a, e):
+            inverted.append(np.size(a))
+            return power(self, a, e)
 
-        monkeypatch.setattr(fin.FiniteGroup, "_inverse_mats", counting)
+        monkeypatch.setattr(fin.FiniteGroup, "power", counting)
         assert g._inverses is None
         x = g.inverse([5, 7, 5])
         assert inverted == [3]
@@ -184,6 +184,26 @@ class TestArithmetic:
         g.conjugates(g.generators(), everyone)
         fin.group_algebra_aug_dims(g, 2)
         assert inverted == []
+
+    @pytest.mark.parametrize(
+        "make, q",
+        [
+            (lambda: fin.unitriangular_group(1, 3), 1),
+            (lambda: fin.unitriangular_group(3, 2), 4),
+            (lambda: fin.unitriangular_group(4, 3), 9),
+            # 6 x 6 matrices, so q = 8, though both blocks have exponent 4
+            (lambda: fin.direct_product(
+                fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)), 8),
+            (lambda: fin.unitriangular_group(3, 17), 17),  # int64 matrices
+        ],
+        ids=["U(1,3)", "U(3,2)", "U(4,3)", "U(4,2)xU(2,2)", "U(3,17)"],
+    )
+    def test_fact_d_exponent_divides_q(self, make, q):
+        # fact (d): g^q = 1 for q = p^ceil(log_p m), so g^-1 = g^(q - 1)
+        g = make()
+        idx = np.arange(g.order, dtype=np.int64)
+        assert (g.power(idx, q) == g.identity).all()
+        assert (g.inverse(idx) == g.index_of(_power_series_inverse(g, idx))).all()
 
     def test_power(self):
         g = fin.unitriangular_group(3, 3)
@@ -244,6 +264,19 @@ class TestArithmetic:
             assert (one == many).all() and (np.diff(one) > 0).all()
 
 
+def _power_series_inverse(g, idx):
+    """Reference inverses, as matrices: (1 + N)(1 - N)(1 + N^2)(1 + N^4)...
+    telescopes to 1 - N^(2^k), which is 1 once N^(2^k) = 0."""
+    eye = np.eye(g.size, dtype=np.int64)
+    nil = (g.matrices(idx).astype(np.int64) - eye) % g.p
+    acc = (eye - nil) % g.p
+    square = (nil @ nil) % g.p
+    while square.any():
+        acc = (acc + acc @ square) % g.p
+        square = (square @ square) % g.p
+    return acc
+
+
 _unique_inputs = st.lists(
     st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1)), max_size=50
 )
@@ -288,8 +321,8 @@ class TestClosure:
         mat = np.eye(3, dtype=np.int64)
         mat[0, 2] = 1
         center = int(g.index_of(mat[None])[0])
-        sub = fin.subgroup_closure(g, [center])
-        assert len(sub) == 3
+        elements, kept = fin.subgroup_closure(g, [center])
+        assert elements.tolist() == [0, center, 2 * center] and kept == [center]
 
     def test_generators_recover_group(self):
         g = fin.unitriangular_group(3, 2)
@@ -298,11 +331,13 @@ class TestClosure:
         m2 = np.eye(3, dtype=np.int64)
         m2[1, 2] = 1
         gens = g.index_of(np.stack([m1, m2]))
-        assert len(fin.subgroup_closure(g, gens)) == g.order
+        elements, _ = fin.subgroup_closure(g, gens)
+        assert (elements == np.arange(g.order)).all()
 
     def test_empty_generators(self):
         g = fin.cyclic_group(3)
-        assert fin.subgroup_closure(g, []) == frozenset({g.identity})
+        elements, kept = fin.subgroup_closure(g, [])
+        assert elements.tolist() == [g.identity] and kept == []
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", ["U(3,3)", "U(4,2)", "U(2,2)^3", "U(3,5)", "U(4,2)xU(2,2)"])
@@ -310,10 +345,10 @@ class TestClosure:
         g = {**_small_groups(), **_larger_groups()}[name]
         rng = np.random.default_rng(seed)
         gens = rng.integers(0, g.order, size=int(rng.integers(0, 4)))
-        assert fin.subgroup_closure(g, gens) == _bfs_subgroup(g, gens)
+        assert _closed(g, gens) == _bfs_subgroup(g, gens)
         # with conjugation by the generators: the normal closure
         everyone = np.arange(g.order)
-        elements, kept = fin._closure(g, gens, g.generators())
+        elements, kept = fin.subgroup_closure(g, gens, g.generators())
         want = _bfs_subgroup(g, g.conjugates(everyone, gens))
         assert frozenset(elements.tolist()) == want
         assert _bfs_subgroup(g, kept) == want
@@ -334,7 +369,7 @@ class TestClosure:
         g = fin.unitriangular_group(5, 2)
         gens = g.generators()
         candidates = g.commutators(gens, gens)  # 1, x_13, x_24, x_35
-        elements, kept = fin._closure(g, candidates, gens)
+        elements, kept = fin.subgroup_closure(g, candidates, gens)
         assert len(elements) == 2**6  # x_13 .. x_15, x_24, x_25, x_35
         assert [len(b) for _, b, _ in scans] == [3, 2]
         assert all((a == gens).all() for a, _, _ in scans)
@@ -342,6 +377,12 @@ class TestClosure:
         assert set(scans[0][1]) <= set(candidates.tolist())
         assert set(scans[1][1]) <= set(scans[0][2])
         assert set(scans[1][2]) <= set(elements.tolist())
+
+
+def _closed(group, gens):
+    """The subgroup generated by gens, as a set of element indices."""
+    elements, _ = fin.subgroup_closure(group, gens)
+    return frozenset(elements.tolist())
 
 
 def _bfs_subgroup(group, gens):
@@ -433,7 +474,24 @@ class TestFiltration:
             assert (b == g.generators()).all()
             # kept generators, at most log_2 |G| = 10 of them, that generate G_(n-1)
             assert len(a) <= 10
-            assert fin.subgroup_closure(g, a) == prev
+            assert _closed(g, a) == prev
+
+    def test_one_closure_per_degree_under_its_module_name(self, monkeypatch):
+        # a wrapper set on the module attribute, as a trace hook sets it,
+        # sees every closure of the filtration: G_(2) .. G_(7) at depth 6
+        calls = []
+        closure = fin.subgroup_closure
+
+        def counting(group, candidates, conjugate_by=()):
+            calls.append(len(conjugate_by))
+            return closure(group, candidates, conjugate_by)
+
+        monkeypatch.setattr(fin, "subgroup_closure", counting)
+        g = fin.unitriangular_group(5, 2)
+        f = fin.zassenhaus_filtration_finite(g, 6)
+        assert f.dims == (4, 3, 2, 1, 0, 0)
+        # each a normal closure under the 4 generators
+        assert calls == [4] * 6
 
     def test_second_term_from_generator_powers(self, monkeypatch):
         # fact (c): G_(2) takes the squares of the 4 generators, not of all
@@ -445,7 +503,8 @@ class TestFiltration:
         power = fin.FiniteGroup.power
 
         def recording(self, a, e):
-            inputs.append(np.array(a))
+            if e == self.p:  # the inverse index fills by power too, fact (d)
+                inputs.append(np.array(a))
             return power(self, a, e)
 
         monkeypatch.setattr(fin.FiniteGroup, "power", recording)
@@ -465,7 +524,8 @@ class TestFiltration:
         power = fin.FiniteGroup.power
 
         def recording(self, a, e):
-            sizes.append(np.size(a))
+            if e == self.p:  # the inverse index fills by power too, fact (d)
+                sizes.append(np.size(a))
             return power(self, a, e)
 
         monkeypatch.setattr(fin.FiniteGroup, "power", recording)
@@ -650,6 +710,8 @@ class TestGroupAlgebra:
             calls.append((np.shape(a), np.shape(b)))
             return mult(self, a, b)
 
+        # file the generators' inverses first: their fill multiplies too
+        g.inverse(g.generators())
         monkeypatch.setattr(fin.FiniteGroup, "mult", counting)
         assert fin.group_algebra_aug_dims(g, 12) == want
         # every generator's gather at once: (1, |G|) against (3 generators, 1)
@@ -705,7 +767,7 @@ def _literal_filtration(group, depth):
         parts = [group.power(sorted(chain[-(-n // group.p) - 1]), group.p)]
         for i in range(1, n):
             parts.append(group.commutators(sorted(chain[i - 1]), sorted(chain[n - i - 1])))
-        chain.append(fin.subgroup_closure(group, np.unique(np.concatenate(parts))))
+        chain.append(_closed(group, np.unique(np.concatenate(parts))))
     dims = []
     for big, small in zip(chain, chain[1:]):
         ratio, e = len(big) // len(small), 0
@@ -789,9 +851,7 @@ class TestIndependence:
             fin.direct_product(fin.unitriangular_group(4, 2), fin.unitriangular_group(2, 2)),
         ]
         for group in groups:
-            assert fin.subgroup_closure(group, group.generators()) == frozenset(
-                range(group.order)
-            )
+            assert _closed(group, group.generators()) == frozenset(range(group.order))
 
 
 class TestCoordinateOrder:

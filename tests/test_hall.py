@@ -166,6 +166,54 @@ class TestBasis:
         with pytest.raises(BasisTooLarge):
             zassenhaus_basis(2, 2, 10 ** 6)
 
+    def test_huge_degree_refused_from_the_lower_bound(self, monkeypatch):
+        # past 2^20 bits of d^n the count is not built at all
+        def count_nothing(d, n):
+            raise AssertionError("built the exact count")
+
+        monkeypatch.setattr(hall, "w_free_closed", count_nothing)
+        for d, n, bits in [(2, 10**9, 999999971), (3, 10**12, 1584962500682)]:
+            with pytest.raises(BasisTooLarge, match=(
+                rf"^the degree-{n} basis of free\({d}\) at p = 2 has about 2\^{bits} "
+                rf"elements, over the cap of {MAX_BASIS_ELEMENTS}$"
+            )):
+                zassenhaus_basis(d, 2, n)
+        # a degree past the range of a float
+        with pytest.raises(BasisTooLarge, match=r"has about 2\^\d{400} elements"):
+            zassenhaus_basis(2, 3, 10**400)
+
+    @pytest.mark.parametrize("d, p, n, size", [
+        (2, 2, 100, "12676506002282305273966761072"),
+        (2, 2, 14000, "about 2^13987"),
+        # at the threshold, n log2 d = 2^20, and just below it for d = 3 and 7
+        (2, 2, 2**20, "about 2^1048557"),
+        (3, 2, 661000, "about 2^1047641"),
+        (7, 2, 372000, "about 2^1044318"),
+    ])
+    def test_exact_count_messages_up_to_the_threshold(self, d, p, n, size):
+        with pytest.raises(BasisTooLarge) as info:
+            zassenhaus_basis(d, p, n)
+        assert str(info.value) == (
+            f"the degree-{n} basis of free({d}) at p = {p} has {size} elements, "
+            f"over the cap of {MAX_BASIS_ELEMENTS}"
+        )
+
+    def test_lower_bound_exponent_is_within_one(self, monkeypatch):
+        # every refusal takes the bound once the threshold is 0 bits
+        monkeypatch.setattr(hall, "_EXACT_COUNT_BITS", 0)
+        for d in (2, 3, 7):
+            for p in (2, 3):
+                for n in (40, 64, 81, 100, 243, 1000, 1024):
+                    m, k = n, 0
+                    while m % p == 0:
+                        m, k = m // p, k + 1
+                    count = sum(w_free_closed(d, m * p**i) for i in range(k + 1))
+                    assert n * count >= d**n - 2 * d ** (n // 2)
+                    with pytest.raises(BasisTooLarge) as info:
+                        zassenhaus_basis(d, p, n)
+                    bits = int(str(info.value).split("about 2^")[1].split()[0])
+                    assert abs(bits - count.bit_length()) <= 1
+
     def test_rank1_powers_of_p(self):
         basis = zassenhaus_basis(1, 2, 65536)
         assert basis_text_lines(basis, 2) == ["x1^65536"]
