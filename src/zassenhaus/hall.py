@@ -103,8 +103,9 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     if n < 1:
         raise BasisArgumentError(f"degree must be >= 1, got {n}")
     if d >= 2 and (n > _EXACT_COUNT_BITS or n * math.log2(d) > _EXACT_COUNT_BITS):
-        # the bound is then over 2^(2^20) / 2^20, far past the cap
-        _refuse(d, p, n, f"about 2^{_bound_bit_length(d, n)}")
+        # n > 2^20 implies n log2 d > 2^20 and keeps n * log2 d off a float
+        # overflow; the bound is then over 2^(2^20) / 2^20, far past the cap
+        raise _too_large(d, p, n, f"about 2^{_bound_bit_length(d, n)}")
     k = 0
     m = n
     while m % p == 0:
@@ -113,7 +114,8 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     count = sum(w_free_closed(d, m * p ** i) for i in range(k + 1))
     if count > MAX_BASIS_ELEMENTS:
         # a count past Python's 4300-digit str limit is shown by its size
-        _refuse(d, p, n, count if count.bit_length() < 10_000 else f"about 2^{count.bit_length()}")
+        size = count if count.bit_length() < 10_000 else f"about 2^{count.bit_length()}"
+        raise _too_large(d, p, n, size)
     layers = _layers(d, n)
     out = []
     for j in range(k, -1, -1):
@@ -122,8 +124,8 @@ def zassenhaus_basis(d: int, p: int, n: int) -> list[BasisElement]:
     return out
 
 
-def _refuse(d: int, p: int, n: int, size) -> None:
-    raise BasisTooLarge(
+def _too_large(d: int, p: int, n: int, size) -> BasisTooLarge:
+    return BasisTooLarge(
         f"the degree-{n} basis of free({d}) at p = {p} has {size} elements, "
         f"over the cap of {MAX_BASIS_ELEMENTS}"
     )
