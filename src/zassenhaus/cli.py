@@ -246,12 +246,11 @@ def _report_error(exc: Exception) -> int:
     # modules it does not run
     from .dimensions import NegativeDimension, NonIntegralW
     from .groupspec import ParseError
-    from .series import NonIntegralLog
 
     if isinstance(exc, ParseError):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if isinstance(exc, (NonIntegralW, NegativeDimension, NonIntegralLog)):
+    if isinstance(exc, (NonIntegralW, NegativeDimension)):
         print(f"integrality error: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
     if isinstance(exc, ValueError) and type(exc).__module__.startswith(__package__ + "."):

@@ -11,9 +11,10 @@ matrix products instead of a stored composition table.  Beside the decode
 table sits an inverse index, allocated on the first inverse call and filled
 only for the elements asked for, so the pair scans and the augmentation
 gathers invert each element once per group; the inverses themselves are
-powers, by fact (d).  Subgroups grow from generators by right multiplication
-against a membership bitmap, and normal closures take one conjugation scan
-per round (see subgroup_closure).
+powers, by fact (d).  Subgroups grow from generators against a membership
+bitmap, by the pair scan products of the new elements with the generators,
+and normal closures take one conjugation scan per round (see
+subgroup_closure).
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -241,11 +242,7 @@ class FiniteGroup:
         return self._pair_scan(a, b, combine)
 
     def products(self, a, b) -> np.ndarray:
-        """Unique x y over all x in a, y in b.
-
-        No routine of the package calls it (subgroup_closure multiplies with
-        mult); the tests and bench/tracing.py do.
-        """
+        """Unique x y over all x in a, y in b; subgroup_closure grows with it."""
         return self._pair_scan(
             a, b, lambda x, y: (self.matrices(x) @ self.matrices(y)) % self.p
         )
@@ -319,16 +316,11 @@ def subgroup_closure(
             if member[c]:
                 continue
             kept.append(c)
-            gens = np.array(kept, dtype=np.int64)
-            rows = max(1, _CHUNK_PAIRS // gens.size)
-            frontier = group.mult(np.flatnonzero(member), c)
+            frontier = group.products(np.flatnonzero(member), [c])
             while frontier.size:
                 member[frontier] = True
-                prods = np.concatenate(
-                    [group.mult(frontier[lo : lo + rows, None], gens).ravel()
-                     for lo in range(0, frontier.size, rows)]
-                )
-                frontier = _unique(prods[~member[prods]])
+                prods = group.products(frontier, kept)
+                frontier = prods[~member[prods]]
         if len(kept) == fresh or not len(conjugate_by):
             break
         pending = group.conjugates(conjugate_by, kept[fresh:])

@@ -25,7 +25,7 @@ from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
-from .series import RationalFunction, _quotient, check_order
+from .series import RationalFunction, _quotient, _times_binomial, check_order, check_size
 
 
 @dataclass(frozen=True)
@@ -311,17 +311,6 @@ def validate(spec: GroupSpec, p: int) -> None:
                 )
 
 
-def _one_minus_t_power(e: int, size: int) -> list[int]:
-    """Coefficients of (1 - t)^e for e >= 0, cut after `size` terms.
-
-    Term k is (-1)^k C(e, k), reached from term k - 1 by one exact step.
-    """
-    out = [1]
-    for k in range(1, min(e + 1, size)):
-        out.append(out[-1] * (k - 1 - e) // k)
-    return out
-
-
 def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
     """The leaf's series as unreduced (num, den) coefficients, low degree first,
     each cut after `size` terms; exact polynomials when size is None, and then
@@ -333,16 +322,30 @@ def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
     elif isinstance(leaf, Demushkin):
         num, den = [1], [1, -leaf.rank, 1]
     elif isinstance(leaf, Zp):
-        num, den = [1], _one_minus_t_power(leaf.rank, leaf.rank + 1 if size is None else size)
+        num = [1]
+        den = [1] + [0] * (leaf.rank if size is None else min(leaf.rank, size - 1))
+        _times_binomial(den, 1, leaf.rank)
     elif size is None:
         return None
     else:
         # (1 + t) / ((1 - t)^d prod_{odd 3 <= k < size} (1 - t^k))
-        num, den = [1, 1], _one_minus_t_power(leaf.rank, size)
-        den += [0] * (size - len(den))
+        num, den = [1, 1], [1] + [0] * (size - 1)
+        _times_binomial(den, 1, leaf.rank)
         for k in range(3, size, 2):
-            den[k:] = [a - b for a, b in zip(den[k:], den)]
+            _times_binomial(den, k, 1)
     return tuple(num[:size]), tuple(den[:size])
+
+
+def _degree_bound(leaf) -> int:
+    """The larger degree of the leaf's exact num and den; 0 for superpyth,
+    which has no exact pair."""
+    if isinstance(leaf, Cyclic):
+        return leaf.order - 1
+    if isinstance(leaf, Zp):
+        return leaf.rank
+    if isinstance(leaf, Demushkin):
+        return 2
+    return 1 if isinstance(leaf, Free) else 0
 
 
 def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
@@ -398,13 +401,19 @@ def hp_series(spec: GroupSpec, p: int, order: int) -> tuple[int, ...]:
     integers."""
     validate(spec, p)
     check_order(order)
+    check_size(order)
     return tuple(_quotient(*_pair(spec, p, order + 1), order))
 
 
 def closed_form(spec: GroupSpec, p: int) -> RationalFunction | str:
     """The exact folded pair in lowest terms where one exists; otherwise, where
-    a superpyth factor leaves no finite pair, the product form as text."""
+    a superpyth factor leaves no finite pair, the product form as text.
+
+    The pair is refused before it is folded when a bound on its degree
+    passes check_size: the sum of the leaves' degrees, since a product's num
+    and den are at most as long as the sum of its factors' bounds."""
     validate(spec, p)
+    check_size(_fold(spec, _degree_bound, lambda kind, bounds: sum(bounds)))
     pair = _pair(spec, p, None)
     if pair is not None:
         return RationalFunction(*pair)

@@ -36,11 +36,17 @@ def _layers(d: int, max_weight: int) -> dict[int, list[str]]:
     weight-w layer, so comparing two elements is comparing these pairs.
     rights[w][i] is the pair of the right component of element (w, i), None
     for a generator: [c1, c2] with c1 > c2 is admitted when c2 >= rights of c1.
-    Only nonempty layers are visited, so a rank-1 run is linear in max_weight.
+    A weight-n element has a left component of weight n1 with n1 < n <= 2 n1,
+    so once n passes twice the heaviest nonempty layer no later layer can be
+    nonempty and the loop stops: a rank-1 run, whose only layer is weight 1,
+    stops at n = 3 whatever max_weight is.
     """
     text = {1: [f"x{d - i}" for i in range(d)]}
     rights = {1: [None] * d}
+    top = 1  # the heaviest nonempty layer
     for n in range(2, max_weight + 1):
+        if n > 2 * top:
+            break
         new_text, new_rights = [], []
         for n1 in [w for w in text if w < n <= 2 * w and n - w in text]:
             n2 = n - n1
@@ -60,6 +66,7 @@ def _layers(d: int, max_weight: int) -> dict[int, list[str]]:
         if new_text:
             text[n] = new_text
             rights[n] = new_rights
+            top = n
     return text
 
 

@@ -11,9 +11,13 @@ only ever claim the order both operands support.
 Every series quotient is one recurrence, _quotient, which stays in int for an
 integer numerator over an integer denominator with constant term 1: the
 inverse is 1 / a, the logarithm integrates a' / a, expand_rational is
-num / den, and the Hilbert series is its folded num / den. Polynomial
-division is likewise one integer pseudo-division, _pseudo_divmod, behind both
-poly_gcd and exact division.
+num / den, and the Hilbert series is its folded num / den. In int it counts
+the bits of what it builds, and refuses past MAX_SERIES_BITS with
+SeriesTooLarge; check_size refuses an order before anything is built.
+Polynomial division is likewise one integer pseudo-division, _pseudo_divmod,
+behind both poly_gcd and exact division, and every binomial factor
+(1 - t^step)^e is one kernel, _times_binomial, for the product identity and
+for the zp and superpyth leaves of groupspec alike.
 
 Products of polynomials are taken on coefficient tuples by the one fold in
 groupspec, and RationalFunction only reduces a finished pair to lowest terms.
@@ -27,6 +31,11 @@ from typing import Iterable, Sequence, Union
 from .numtheory import is_prime
 
 Scalar = Union[int, Fraction]
+
+# The most bits that the integer coefficients of one series, or of one exact
+# polynomial, may take, each coefficient counted as at least one 64-bit word;
+# past it SeriesTooLarge refuses the input rather than run out of memory.
+MAX_SERIES_BITS = 1 << 30
 
 
 class SeriesError(ValueError):
@@ -49,13 +58,8 @@ class NegativeExponent(SeriesError):
     """A product exponent that must be a dimension (hence >= 0) was negative."""
 
 
-class NonIntegralLog(SeriesError):
-    """k * b_k of log P came out non-integral for an integral P."""
-
-    def __init__(self, k: int, value: Fraction):
-        super().__init__(f"{k} * b_{k} = {value} is not an integer")
-        self.degree = k
-        self.value = value
+class SeriesTooLarge(SeriesError):
+    """The coefficients asked for would take more than MAX_SERIES_BITS bits."""
 
 
 class OrderExceeded(SeriesError):
@@ -86,6 +90,16 @@ def _strip(coeffs: Iterable[int]) -> tuple[int, ...]:
 def check_order(order: int) -> None:
     if order < 0:
         raise NegativeOrder("order must be >= 0")
+
+
+def check_size(degree: int) -> None:
+    """Refuse coefficients up to t^degree that pass MAX_SERIES_BITS even at
+    one 64-bit word each, before any of them is allocated."""
+    if 64 * (degree + 1) > MAX_SERIES_BITS:
+        raise SeriesTooLarge(
+            f"coefficients up to degree {degree} would take at least "
+            f"{64 * (degree + 1)} bits, over the budget of {MAX_SERIES_BITS} bits"
+        )
 
 
 def _primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -150,20 +164,34 @@ def _quotient(num: Sequence, den: Sequence, order: int) -> list:
     out[k] = (num[k] - sum_{j >= 1} den[j] * out[k - j]) / den[0], visiting only
     the nonzero terms of den; entries past the end of num or den are zero.
     With den[0] == 1 and int coefficients throughout nothing is divided and
-    the result is int; otherwise it is Fraction.
+    the result is int; otherwise it is Fraction. An order that check_size
+    refuses is refused at once, and in int SeriesTooLarge is raised at the
+    first coefficient that takes the running total of bits, at least 64 a
+    coefficient, past MAX_SERIES_BITS.
     """
+    check_size(order)
     num = num[:order + 1]
     terms = [(j, d) for j, d in enumerate(den[1:order + 1], start=1) if d]
     exact = den[0] == 1 and all(isinstance(x, int) for x in (*num, *(d for _, d in terms)))
     d0 = Fraction(den[0])
     out = []
+    bits = 0
     for k in range(order + 1):
         acc = num[k] if k < len(num) else 0
         for j, d in terms:
             if j > k:
                 break
             acc -= d * out[k - j]
-        out.append(acc if exact else acc / d0)
+        if exact:
+            bits += max(64, acc.bit_length())
+            if bits > MAX_SERIES_BITS:
+                raise SeriesTooLarge(
+                    f"coefficients a_0..a_{k} of a series to degree {order} take "
+                    f"{bits} bits, over the budget of {MAX_SERIES_BITS} bits"
+                )
+            out.append(acc)
+        else:
+            out.append(acc / d0)
     return out
 
 
@@ -307,20 +335,15 @@ class TruncSeries:
     def log(self) -> TruncSeries:
         """Formal logarithm b = log a from b' = a' / a.
 
-        The coefficient of t^(k-1) in a' / a is s_k = k * b_k. For an
-        integer-coefficient input every s_k stays integral;
-        NonIntegralLog is raised at the first that is not, so callers need not
-        recheck.
+        The coefficient of t^(k-1) in a' / a is s_k = k * b_k. With a_0 = 1
+        the quotient divides by 1 alone, so for an integer-coefficient input
+        every s_k is an integer (Newton's identities).
         """
         a = self._coeffs
         if a[0] != 1:
             raise ConstantTermNotOne("log requires constant term 1")
         n = self._order
         s = _quotient([k * a[k] for k in range(1, n + 1)], a, n - 1)
-        if self.is_integral():
-            for k, sk in enumerate(s, start=1):
-                if sk.denominator != 1:
-                    raise NonIntegralLog(k, sk)
         return TruncSeries(n, [0] + [sk / k for k, sk in enumerate(s, start=1)])
 
     def __pow__(self, e: int) -> TruncSeries:
@@ -370,16 +393,20 @@ def _times_binomial(out: list[int], step: int, e: int) -> None:
     The factor is sum_k (-1)^k C(e, k) t^(step k) for any integer e. Term k
     follows from term k - 1 by the exact integer step
     term_k = term_(k-1) (k - 1 - e) / k, and for e >= 0 the terms past k = e
-    are 0.
+    are 0. Only the part of out up to its last nonzero entry is shifted, so
+    a sparse out, such as 1 followed by zeros, costs one step per term.
     """
     old = out[:]
+    while old and old[-1] == 0:
+        old.pop()
     term = 1
     for k in range(1, (len(out) - 1) // step + 1):
         term = term * (k - 1 - e) // k
         if term == 0:
             break
         shift = k * step
-        out[shift:] = [x + term * y for x, y in zip(out[shift:], old)]
+        end = shift + len(old)
+        out[shift:end] = [x + term * y for x, y in zip(out[shift:end], old)]
 
 
 def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...]:

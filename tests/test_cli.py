@@ -19,9 +19,8 @@ import zassenhaus
 import zassenhaus.dimensions
 import zassenhaus.verify
 from zassenhaus import cli, numtheory
-from zassenhaus.dimensions import NonIntegralW
+from zassenhaus.dimensions import NegativeDimension, NonIntegralW
 from zassenhaus.groupspec import ParseError, parse_group_spec
-from zassenhaus.series import NonIntegralLog
 from zassenhaus.verify import CheckResult
 
 
@@ -184,6 +183,55 @@ class TestBasis:
         assert proc.stderr.startswith(
             f"validation error: the degree-{degree} basis of free({rank}) at p = 2 has about 2^"
         )
+        assert elapsed < 1
+
+    def test_rank_one_huge_degree_at_once(self):
+        # rank 1 has one nonempty Hall layer, so no degree is enumerated
+        env = dict(os.environ, PYTHONPATH=str(Path(zassenhaus.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "zassenhaus", "basis", "1", "--degree", "1000000000"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == "count = 0\n"
+        assert elapsed < 1
+
+
+def _limit_address_space():
+    """Cap the child's address space at 1000000 KiB, as `ulimit -v 1000000`."""
+    import resource
+
+    limit = 1_000_000 * 1024
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+class TestOversizedSeries:
+    @pytest.mark.parametrize("argv, message", [
+        (["dims", "free(2)", "--max-n", "100000000"], "up to degree 100000000 "),
+        (["dims", "cyclic(2)", "--max-n", "100000000"], "up to degree 100000000 "),
+        (["dims", "zp(100000000)", "--max-n", "100000000"], "up to degree 100000000 "),
+        (["series", "cyclic(1000000007)", "--prime", "1000000007", "--closed-form"],
+         "up to degree 1000000006 "),
+        (["series", "zp(1000000000)", "--closed-form"], "up to degree 1000000000 "),
+        # a_k = 2^k: the running total passes the budget at a_46340
+        (["series", "free(2)", "--max-n", "50000"], "a_0..a_46340 of a series"),
+    ])
+    def test_exits_3_at_once(self, argv, message):
+        # refused from the coefficient budget, where an unchecked run dies of
+        # a MemoryError under the same limit or runs on for minutes
+        env = dict(os.environ, PYTHONPATH=str(Path(zassenhaus.__file__).parents[1]))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "zassenhaus", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+            preexec_fn=_limit_address_space,
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"validation error: coefficients {message}")
         assert elapsed < 1
 
 
@@ -396,9 +444,9 @@ class TestExitCodes:
         code, out, err = run(["dims", "free(2)"], capsys)
         assert code == 4 and out == "" and "integrality error" in err
 
-    def test_nonintegral_log_maps_to_4(self, capsys, monkeypatch):
+    def test_negative_dimension_maps_to_4(self, capsys, monkeypatch):
         def explode(spec, p, order):
-            raise NonIntegralLog(2, Fraction(1, 2))
+            raise NegativeDimension(2, -1)
 
         monkeypatch.setattr(zassenhaus.dimensions, "dims_table", explode)
         code, out, err = run(["dims", "free(2)"], capsys)

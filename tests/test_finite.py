@@ -254,6 +254,7 @@ class TestArithmetic:
                 g.commutators(everyone, everyone),
                 g.conjugates(everyone, everyone[:9]),
                 g.products(everyone[5:], everyone),
+                fin.subgroup_closure(g, everyone[[3, 17, 40]], g.generators())[0],
             ]
 
         whole = scans()
@@ -377,6 +378,29 @@ class TestClosure:
         assert set(scans[0][1]) <= set(candidates.tolist())
         assert set(scans[1][1]) <= set(scans[0][2])
         assert set(scans[1][2]) <= set(elements.tolist())
+
+    def test_grows_through_products(self, monkeypatch):
+        # each kept generator c first adds the coset H c in one scan of
+        # (H, [c]); the scans after it multiply the new elements by every
+        # generator kept so far, and every element comes from some scan
+        scans = []
+        products = fin.FiniteGroup.products
+
+        def recording(self, a, b):
+            out = products(self, a, b)
+            scans.append((np.array(a).tolist(), list(b), out.tolist()))
+            return out
+
+        monkeypatch.setattr(fin.FiniteGroup, "products", recording)
+        g = fin.unitriangular_group(4, 2)
+        elements, kept = fin.subgroup_closure(g, g.generators())
+        assert len(elements) == g.order and len(kept) == 3
+        assert scans[0][:2] == ([g.identity], [kept[0]])
+        assert all(b == [b[-1]] or b == kept[: len(b)] for _, b, _ in scans)
+        for c in kept:
+            assert [b for _, b, _ in scans if b[-1] == c][0] == [c]
+        found = {g.identity}.union(*(set(out) for _, _, out in scans))
+        assert found == set(elements.tolist())
 
 
 def _closed(group, gens):

@@ -4,11 +4,13 @@ from collections import Counter
 from dataclasses import make_dataclass
 from functools import cache
 from itertools import zip_longest
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zassenhaus.groupspec
 from zassenhaus.groupspec import (
     ArityError,
     Cyclic,
@@ -31,6 +33,7 @@ from zassenhaus.groupspec import (
 )
 from zassenhaus.series import (
     RationalFunction,
+    SeriesTooLarge,
     TruncSeries,
     expand_rational,
     format_poly,
@@ -293,6 +296,29 @@ class TestHpSeries:
         with pytest.raises(PrimeMismatch):
             hp_series(Cyclic(2), 3, 4)
 
+    @pytest.mark.parametrize("d", [0, 1, 5, 40])
+    @pytest.mark.parametrize("order", [0, 3, 60])
+    def test_zp_leaf_is_binomial(self, d, order):
+        # 1 / (1 - t)^d has coefficients C(d + k - 1, k), and its exact
+        # denominator (-1)^k C(d, k)
+        want = (1, *(comb(d + k - 1, k) for k in range(1, order + 1)))
+        assert hp_series(Zp(d), 2, order) == want
+        assert closed_form(Zp(d), 2).den == tuple((-1) ** k * comb(d, k) for k in range(d + 1))
+
+    @pytest.mark.parametrize("spec", [Free(2), Cyclic(2), Zp(10**8)])
+    def test_order_past_the_budget_refused_before_the_fold(self, spec, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a leaf was built")
+
+        monkeypatch.setattr(zassenhaus.groupspec, "_leaf_pair", unreachable)
+        with pytest.raises(SeriesTooLarge, match="up to degree 100000000 "):
+            hp_series(spec, 2, 10**8)
+
+    def test_growing_coefficients_refused_while_dividing(self):
+        # a_k = 2^k: a_0..a_46340 take more than 2^30 bits
+        with pytest.raises(SeriesTooLarge, match=r"a_0\.\.a_46340 "):
+            hp_series(Free(2), 2, 50_000)
+
 
 class TestClosedForm:
     def test_free(self):
@@ -314,6 +340,25 @@ class TestClosedForm:
         rf = closed_form(spec, 3)
         assert format_poly(rf.num) == "1"
         assert format_poly(rf.den) == "1 - 8t + 2t^2"
+
+    @pytest.mark.parametrize("text, p", [
+        ("cyclic(1000000007)", 1000000007),
+        ("zp(1000000000)", 2),
+        # each leaf alone is within the budget, their product is not
+        ("zp(8388608) x zp(8388608)", 2),
+        ("zp(8388608) * free(1) x zp(8388608)", 2),
+    ])
+    def test_degree_bound_past_the_budget_refused_before_the_fold(self, text, p, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a leaf was built")
+
+        monkeypatch.setattr(zassenhaus.groupspec, "_leaf_pair", unreachable)
+        with pytest.raises(SeriesTooLarge):
+            closed_form(parse_group_spec(text), p)
+
+    def test_degree_bound_admits_a_large_cyclic_leaf(self):
+        rf = closed_form(Cyclic(1000003), 1000003)
+        assert rf.num == (1,) * 1000003 and rf.den == (1,)
 
     def test_superpyth_has_product_form_only(self):
         form = closed_form(SuperPyth(2), 2)

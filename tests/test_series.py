@@ -10,13 +10,15 @@ from zassenhaus import finite, verify
 from zassenhaus.series import (
     _poly_divexact,
     ConstantTermNotOne,
+    MAX_SERIES_BITS,
     NegativeExponent,
-    NonIntegralLog,
     NotInvertible,
     OrderExceeded,
     RationalFunction,
+    SeriesTooLarge,
     TruncSeries,
     ZeroConstantDenominator,
+    check_size,
     expand_rational,
     format_poly,
     poly_gcd,
@@ -140,14 +142,6 @@ class TestTruncSeries:
         with pytest.raises(ConstantTermNotOne):
             TruncSeries(3, [2, 1]).log()
 
-    def test_log_integrality_is_checked(self, monkeypatch):
-        # a plain raise, so it holds under python -O; a series that claims to
-        # be integral but is not makes 1 * b_1 = 1/2
-        monkeypatch.setattr(TruncSeries, "is_integral", lambda self: True)
-        with pytest.raises(NonIntegralLog) as exc:
-            TruncSeries(3, [1, Fraction(1, 2)]).log()
-        assert exc.value.degree == 1 and exc.value.value == Fraction(1, 2)
-
     def test_pow_zero_and_huge(self):
         s = TruncSeries(3, [1, 1])
         assert (s ** 0).int_coeffs() == [1, 0, 0, 0]
@@ -162,6 +156,23 @@ class TestTruncSeries:
     def test_scalar_mixing(self):
         s = TruncSeries(2, [1, 2, 4])
         assert (s - 1).valuation() == 1
+
+
+class TestBudget:
+    def test_order_past_the_budget_is_refused_at_once(self):
+        # 2^24 coefficients of at least 64 bits are the whole budget
+        top = MAX_SERIES_BITS // 64 - 1
+        check_size(top)
+        with pytest.raises(SeriesTooLarge, match=f"up to degree {top + 1} "):
+            check_size(top + 1)
+        with pytest.raises(SeriesTooLarge):
+            expand_rational(RationalFunction([1], [1, -2]), 10**8)
+
+    def test_running_total_refuses_growing_coefficients(self):
+        # a_k = 2^k takes k + 1 bits, and a_0..a_k pass 2^30 bits at k = 46340
+        with pytest.raises(SeriesTooLarge, match=r"a_0\.\.a_46340 of a series to degree 50000"):
+            expand_rational(RationalFunction([1], [1, -2]), 50_000)
+        assert expand_rational(RationalFunction([1], [1, -2]), 46_000)[-1] == 2**46_000
 
 
 def test_product_identity_rhs_single_layer():
@@ -250,6 +261,15 @@ def test_log_turns_products_into_sums(a, b):
     lhs = (a * b).log()
     rhs = a.log() + b.log()
     assert lhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda order: _series(order, lo=-30, hi=30, unit=True)))
+def test_log_of_integer_series_has_integer_k_b_k(a):
+    # Newton's identities: with a_0 = 1 the quotient a' / a divides by 1
+    # alone, so every s_k = k * b_k of an integer series is an integer
+    b = a.log()
+    assert all((k * b[k]).denominator == 1 for k in range(1, a.order + 1))
 
 
 @settings(max_examples=60, deadline=None)
