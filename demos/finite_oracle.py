@@ -3,8 +3,10 @@
 The filtration is built by Jennings' recursion
 G_(1) = G, G_(n) = [G_(n-1), G] G_(ceil(n/p))^p, each term the normal
 closure of the commutators of its predecessor's generators with those of
-G and of p-th powers, with vectorized matrix arithmetic. Nothing here
-knows any series formula, which is what makes the agreement informative.
+G and of p-th powers, with vectorized matrix arithmetic. The commutator
+scan that makes one term normal also yields the next term's commutators.
+Nothing here knows any series formula, which is what makes the agreement
+informative.
 """
 import numpy as np
 
@@ -35,6 +37,6 @@ assert a[: len(poly)] == list(poly)
 g = fin.unitriangular_group(3, 3)
 corner = np.eye(3, dtype=np.int64)
 corner[0, 2] = 1
-sub, _ = fin.subgroup_closure(g, g.index_of(corner[None]))
+sub, _, _ = fin.subgroup_closure(g, g.index_of(corner[None]))
 print()
 print("central corner element generates a subgroup of order", len(sub))

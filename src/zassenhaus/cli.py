@@ -243,14 +243,24 @@ def _report_error(exc: Exception) -> int:
     a limit, 3. Anything else is a fault of the program and exits 5.
     """
     # the typed errors load here, on the error path, so no command pays for
-    # modules it does not run
-    from .dimensions import NegativeDimension, NonIntegralW
-    from .groupspec import ParseError
+    # modules it does not run.  After a MemoryError the load could run out of
+    # memory again, so it is skipped; a module that fails to load was not
+    # loaded before, so exc is none of its errors
+    parse_errors = integrality_errors = ()
+    if not isinstance(exc, MemoryError):
+        try:
+            from .groupspec import ParseError
 
-    if isinstance(exc, ParseError):
+            parse_errors = ParseError
+            from .dimensions import NegativeDimension, NonIntegralW
+
+            integrality_errors = (NonIntegralW, NegativeDimension)
+        except Exception:
+            pass
+    if isinstance(exc, parse_errors):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if isinstance(exc, (NonIntegralW, NegativeDimension)):
+    if isinstance(exc, integrality_errors):
         print(f"integrality error: {exc}", file=sys.stderr)
         return EXIT_INTEGRALITY
     if isinstance(exc, ValueError) and type(exc).__module__.startswith(__package__ + "."):

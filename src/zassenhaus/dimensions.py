@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groupspec import Demushkin, Free, GroupSpec, hp_series
+from .groupspec import Demushkin, Free, GroupSpec, hp_series, validate
 from .numtheory import NonIntegralW, is_prime, moebius_table
-from .series import TruncSeries
+from .series import LOG_BITS_PER_COEFFICIENT, TruncSeries, check_size
 
 __all__ = [
     "DimensionTable",
@@ -124,7 +124,13 @@ class DimensionTable:
 
 
 def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
-    """Run the whole pipeline for a group expression."""
+    """Run the whole pipeline for a group expression.
+
+    An order whose Fraction log would pass MAX_SERIES_BITS, at
+    LOG_BITS_PER_COEFFICIENT bits a degree, is refused before the series is
+    built."""
+    validate(spec, p)
+    check_size(order, LOG_BITS_PER_COEFFICIENT)
     a = hp_series(spec, p, order)
     b = TruncSeries(order, a).log().coeffs[1:]  # raises ConstantTermNotOne unless a_0 = 1
     w = w_sequence(b)

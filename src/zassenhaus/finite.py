@@ -13,8 +13,8 @@ only for the elements asked for, so the pair scans and the augmentation
 gathers invert each element once per group; the inverses themselves are
 powers, by fact (d).  Subgroups grow from generators against a membership
 bitmap, by the pair scan products of the new elements with the generators,
-and normal closures take one conjugation scan per round (see
-subgroup_closure).
+and normal closures take one commutator scan per round, whose commutators
+also seed the next degree of the filtration (see subgroup_closure).
 
 Both oracle routines work from generating sets, using two facts of group
 theory and nothing of the series pipeline they check:
@@ -231,16 +231,6 @@ class FiniteGroup:
 
         return self._pair_scan(a, b, combine)
 
-    def conjugates(self, a, b) -> np.ndarray:
-        """Unique x^-1 y x over all x in a, y in b."""
-        p = self.p
-
-        def combine(x, y):
-            t = (self.matrices(self.inverse(x)) @ self.matrices(y)) % p
-            return (t @ self.matrices(x)) % p
-
-        return self._pair_scan(a, b, combine)
-
     def products(self, a, b) -> np.ndarray:
         """Unique x y over all x in a, y in b; subgroup_closure grows with it."""
         return self._pair_scan(
@@ -290,25 +280,27 @@ def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 def subgroup_closure(
     group: FiniteGroup, candidates, conjugate_by=()
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, list[int], np.ndarray]:
     """Subgroup generated by the candidates and their conjugates by conjugate_by.
 
     Works in rounds.  A round takes its candidates one at a time; one already
     in the subgroup H is skipped, so the kept generators number at most
     log_p of the order.  A kept element c adds the coset H c, disjoint from
     H, and right multiples of the new elements by every kept generator close
-    the union under multiplication.  The round's kept generators are then
-    conjugated by conjugate_by in one scan, and the conjugates are the next
-    round's candidates.  A round that keeps nothing ends the closure: H then
-    holds x^-1 k x for every kept generator k and every x in conjugate_by,
-    so with a generating set of the group there H = <kept> is normal (in a
-    finite group x^-1 H x within H is equal to it), and being generated by
-    conjugates of the candidates it is their normal closure.  Returns the
-    sorted elements and the kept generators.
+    the union under multiplication.  One scan then forms [k, x] for the
+    round's kept generators k and every x in conjugate_by: the next round's
+    candidates.  As k^x = x^-1 k x = k [k, x], a subgroup holding k holds
+    k^x exactly when it holds [k, x].  So once a round keeps nothing, H holds
+    k^x for every kept k and x, and with a generating set of the group there
+    H = <kept> is normal (in a finite group x^-1 H x within H is equal to
+    it); each [k, x] lies in the normal closure of the candidates, so H is
+    that closure.  Returns the sorted elements, the kept generators and the
+    sorted distinct [k, x] over every kept k, empty if conjugate_by is.
     """
     member = np.zeros(group.order, dtype=bool)
     member[group.identity] = True
     kept: list[int] = []
+    scanned = [np.empty(0, dtype=np.int64)]
     pending = np.asarray(candidates, dtype=np.int64).ravel()
     while True:
         fresh = len(kept)
@@ -323,8 +315,9 @@ def subgroup_closure(
                 frontier = prods[~member[prods]]
         if len(kept) == fresh or not len(conjugate_by):
             break
-        pending = group.conjugates(conjugate_by, kept[fresh:])
-    return np.flatnonzero(member), kept
+        pending = group.commutators(kept[fresh:], conjugate_by)
+        scanned.append(pending)
+    return np.flatnonzero(member), kept, _unique(np.concatenate(scanned))
 
 
 @dataclass(frozen=True)
@@ -358,7 +351,9 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     closed under conjugation, so by fact (a) of the module docstring, with
     H = G_(n-1) and K = G, G_(n) is the normal closure of the p-th powers of
     all elements of G_(ceil(n/p)) and of [x, s] for x in the kept generators
-    of G_(n-1) and s in the generators of G: one commutator scan per degree.
+    of G_(n-1) and s in the generators of G.  Those commutators are the ones
+    the closure of G_(n-1) scanned to make it normal, so it hands them on;
+    only degree 2 scans its own, [s, t] for generators s and t.
     At n <= p, where ceil(n/p) = 1, [G_(n-1), G] contains gamma_n(G), so
     by fact (c) the p-th powers of the generators stand in for those of all
     of G: G itself is never raised to the p-th power.
@@ -366,7 +361,8 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     p = group.p
-    kept = generators = group.generators()
+    generators = group.generators()
+    commutators = group.commutators(generators, generators)
     chain_arrs = [np.arange(group.order, dtype=np.int64)]
     # p-th powers of G_(k), shared by the up to p degrees n with ceil(n/p) = k
     pth_powers = {1: group.power(generators, p)}
@@ -374,8 +370,8 @@ def zassenhaus_filtration_finite(group: FiniteGroup, depth: int) -> FiltrationRe
         k = -(-n // p)
         if k not in pth_powers:
             pth_powers[k] = _unique(group.power(chain_arrs[k - 1], p))
-        candidates = np.concatenate([group.commutators(kept, generators), pth_powers[k]])
-        elements, kept = subgroup_closure(group, candidates, generators)
+        candidates = np.concatenate([commutators, pth_powers[k]])
+        elements, _, commutators = subgroup_closure(group, candidates, generators)
         chain_arrs.append(elements)
     chain_sets = [frozenset(arr.tolist()) for arr in chain_arrs]
     dims = []

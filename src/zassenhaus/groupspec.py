@@ -25,7 +25,15 @@ from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
-from .series import RationalFunction, _quotient, _times_binomial, check_order, check_size
+from .series import (
+    MAX_SERIES_BITS,
+    RationalFunction,
+    SeriesTooLarge,
+    _quotient,
+    _times_binomial,
+    check_order,
+    check_size,
+)
 
 
 @dataclass(frozen=True)
@@ -336,16 +344,41 @@ def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
     return tuple(num[:size]), tuple(den[:size])
 
 
-def _degree_bound(leaf) -> int:
-    """The larger degree of the leaf's exact num and den; 0 for superpyth,
-    which has no exact pair."""
+def _size_bound(leaf) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(length, e) of the leaf's exact num and den, as _leaf_pair builds them,
+    with the sum of the absolute coefficients at most 2^e; superpyth, which
+    has no exact pair, counts as the constant 1."""
     if isinstance(leaf, Cyclic):
-        return leaf.order - 1
+        return (leaf.order, leaf.order.bit_length()), (1, 0)
     if isinstance(leaf, Zp):
-        return leaf.rank
+        return (1, 0), (leaf.rank + 1, leaf.rank)  # (1 - t)^d sums to 2^d
     if isinstance(leaf, Demushkin):
-        return 2
-    return 1 if isinstance(leaf, Free) else 0
+        return (1, 0), (3, (leaf.rank + 2).bit_length())
+    if isinstance(leaf, Free):
+        return (1, 0), (2, (leaf.rank + 1).bit_length())
+    return (1, 0), (1, 0)
+
+
+def _node_size_bound(kind, factors) -> tuple[tuple[int, int], tuple[int, int]]:
+    """_size_bound of a node from its factors', following _pair's node.
+
+    A product's length is at most the sum of its factors' lengths less one,
+    and its absolute coefficient sum at most the product of theirs; a + b
+    sums to at most 2^(max(e_a, e_b) + 1).  A free product is bounded as if
+    every factor were distinct: each repeat multiplies by a num whose sum is
+    at least its constant term 1, so that bound is the larger.
+    """
+    if kind is FreeProduct:
+        (n_len, n_e), (d_len, d_e) = (1, 0), (1, (len(factors) - 1).bit_length())
+        for (f_len, f_e), (g_len, g_e) in factors:
+            d_len, d_e = max(d_len + f_len, g_len + n_len) - 1, max(d_e + f_e, g_e + n_e) + 1
+            n_len, n_e = n_len + f_len - 1, n_e + f_e
+        return (n_len, n_e), (d_len, d_e)
+    (n_len, n_e), (d_len, d_e) = (1, 0), (1, 0)
+    for (f_len, f_e), (g_len, g_e) in factors:
+        n_len, n_e = n_len + f_len - 1, n_e + f_e
+        d_len, d_e = d_len + g_len - 1, d_e + g_e
+    return (n_len, n_e), (d_len, d_e)
 
 
 def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
@@ -409,11 +442,20 @@ def closed_form(spec: GroupSpec, p: int) -> RationalFunction | str:
     """The exact folded pair in lowest terms where one exists; otherwise, where
     a superpyth factor leaves no finite pair, the product form as text.
 
-    The pair is refused before it is folded when a bound on its degree
-    passes check_size: the sum of the leaves' degrees, since a product's num
-    and den are at most as long as the sum of its factors' bounds."""
+    The pair is refused with SeriesTooLarge before it is folded when an upper
+    bound on its size passes MAX_SERIES_BITS: first its degree, through
+    check_size, then its bits, each coefficient counted as at least one
+    64-bit word and at most as wide as the absolute sum of its polynomial's
+    coefficients (see _node_size_bound)."""
     validate(spec, p)
-    check_size(_fold(spec, _degree_bound, lambda kind, bounds: sum(bounds)))
+    bound = _fold(spec, _size_bound, _node_size_bound)
+    check_size(max(length for length, _ in bound) - 1)
+    bits = sum(length * max(64, e + 1) for length, e in bound)
+    if bits > MAX_SERIES_BITS:
+        raise SeriesTooLarge(
+            f"coefficients of the closed form could take up to {bits} bits, "
+            f"over the budget of {MAX_SERIES_BITS} bits"
+        )
     pair = _pair(spec, p, None)
     if pair is not None:
         return RationalFunction(*pair)

@@ -396,8 +396,9 @@ def finite_checks() -> list[CheckResult]:
         bad = None
         everyone = list(range(group.order))
         for i, sub in enumerate(filt.subgroups):
-            conj = group.conjugates(everyone, sorted(sub))
-            if not set(int(x) for x in conj) <= sub:
+            # for y in the member, x^-1 y x = y [y, x] lies in it iff [y, x] does
+            comms = group.commutators(sorted(sub), everyone)
+            if not set(comms.tolist()) <= sub:
                 bad = i + 1
                 break
         out.append(

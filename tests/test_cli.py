@@ -1,5 +1,6 @@
 """Command-line interface: formats, schemas, exit codes."""
 import ast
+import builtins
 import contextlib
 import csv
 import io
@@ -21,6 +22,7 @@ import zassenhaus.verify
 from zassenhaus import cli, numtheory
 from zassenhaus.dimensions import NegativeDimension, NonIntegralW
 from zassenhaus.groupspec import ParseError, parse_group_spec
+from zassenhaus.series import SeriesTooLarge
 from zassenhaus.verify import CheckResult
 
 
@@ -215,6 +217,10 @@ class TestOversizedSeries:
         (["series", "cyclic(1000000007)", "--prime", "1000000007", "--closed-form"],
          "up to degree 1000000006 "),
         (["series", "zp(1000000000)", "--closed-form"], "up to degree 1000000000 "),
+        # within the degree budget, but C(200000, k) takes up to 200000 bits
+        (["series", "zp(200000)", "--closed-form"], "of the closed form could take up to "),
+        # within the integer budget, but not the Fraction log's
+        (["dims", "cyclic(2)", "--max-n", "10000000"], "up to degree 10000000 "),
         # a_k = 2^k: the running total passes the budget at a_46340
         (["series", "free(2)", "--max-n", "50000"], "a_0..a_46340 of a series"),
     ])
@@ -423,6 +429,7 @@ class TestExitCodes:
         ValueError("plain value error"),
         RuntimeError("internal fault"),
         ValueError("first line\nsecond line"),
+        MemoryError(),
     ])
     def test_unexpected_exception_exits_5(self, capsys, monkeypatch, exc):
         # a command that fails with anything but the program's typed errors
@@ -435,6 +442,26 @@ class TestExitCodes:
         assert code == 5 and out == ""
         detail = str(exc).replace("\n", " ")
         assert err == f"internal error: {type(exc).__name__}: {detail}\n"
+
+    @pytest.mark.parametrize("exc, failing, code, line", [
+        (MemoryError(), ("dimensions", "groupspec"), 5, "internal error: MemoryError: "),
+        (RuntimeError("fault"), ("dimensions", "groupspec"), 5, "internal error: RuntimeError: fault"),
+        (SeriesTooLarge("too big"), ("dimensions", "groupspec"), 3, "validation error: too big"),
+        (ParseError("bad", 0), ("dimensions",), 2, "parse error: bad (at position 0)"),
+    ], ids=["memory", "runtime", "typed", "parse"])
+    def test_error_path_survives_a_failing_import(self, capsys, monkeypatch, exc, failing, code, line):
+        # out of memory, the error path's own imports can fail again; the
+        # error is still one stderr line, and a MemoryError loads nothing
+        real_import = builtins.__import__
+
+        def failing_import(name, globals=None, locals=None, fromlist=(), level=0):
+            if level and name in failing:
+                raise MemoryError
+            return real_import(name, globals, locals, fromlist, level)
+
+        monkeypatch.setattr(builtins, "__import__", failing_import)
+        assert cli._report_error(exc) == code
+        assert capsys.readouterr() == ("", line + "\n")
 
     def test_integrality_maps_to_4(self, capsys, monkeypatch):
         def explode(spec, p, order):

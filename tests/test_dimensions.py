@@ -17,9 +17,21 @@ from zassenhaus.dimensions import (
     min_generators,
     w_sequence,
 )
-from zassenhaus.groupspec import Cyclic, Demushkin, Free, hp_series, parse_group_spec
+from zassenhaus.groupspec import (
+    Cyclic,
+    Demushkin,
+    Free,
+    PrimeMismatch,
+    hp_series,
+    parse_group_spec,
+)
 from zassenhaus.numtheory import divisors, is_prime, moebius, moebius_table, w_free_closed
-from zassenhaus.series import ConstantTermNotOne
+from zassenhaus.series import (
+    LOG_BITS_PER_COEFFICIENT,
+    MAX_SERIES_BITS,
+    ConstantTermNotOne,
+    SeriesTooLarge,
+)
 from zassenhaus.verify import (
     demushkin_power_sum,
     power_sums_free_product_cp,
@@ -223,6 +235,21 @@ class TestCSequence:
 
 
 class TestDimsTable:
+    def test_order_past_the_log_budget_is_refused_before_the_series(self, monkeypatch):
+        # under a 1 GB address space dims "cyclic(2)" --max-n 10000000 ran
+        # out of memory in the Fraction log after 10 s; it is refused at once
+        top = MAX_SERIES_BITS // LOG_BITS_PER_COEFFICIENT - 1
+
+        def unreachable(*args):
+            raise AssertionError("the series was built")
+
+        monkeypatch.setattr(dimensions, "hp_series", unreachable)
+        with pytest.raises(SeriesTooLarge, match=f"up to degree {top + 1} "):
+            dims_table(Cyclic(2), 2, top + 1)
+        # the expression is still checked first
+        with pytest.raises(PrimeMismatch):
+            dims_table(Cyclic(2), 3, top + 1)
+
     def test_free2_p2(self):
         t = dims_table(Free(2), 2, 6)
         assert t.w[1:] == (2, 1, 2, 3, 6, 9)

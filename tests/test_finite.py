@@ -181,7 +181,8 @@ class TestArithmetic:
         g.inverse(everyone)
         inverted.clear()
         g.commutators(everyone[:40], everyone[40:80])
-        g.conjugates(g.generators(), everyone)
+        _conjugates(g, g.generators(), everyone)
+        fin.subgroup_closure(g, everyone[[5, 50]], everyone)
         fin.group_algebra_aug_dims(g, 2)
         assert inverted == []
 
@@ -250,11 +251,13 @@ class TestArithmetic:
         everyone = np.arange(g.order)
 
         def scans():
+            closure = fin.subgroup_closure(g, everyone[[3, 17, 40]], g.generators())
             return [
                 g.commutators(everyone, everyone),
-                g.conjugates(everyone, everyone[:9]),
+                g.commutators(everyone[:9], everyone),
                 g.products(everyone[5:], everyone),
-                fin.subgroup_closure(g, everyone[[3, 17, 40]], g.generators())[0],
+                closure[0],
+                closure[2],
             ]
 
         whole = scans()
@@ -263,6 +266,22 @@ class TestArithmetic:
         for one, many in zip(whole, scans()):
             assert one.dtype == many.dtype == np.int64
             assert (one == many).all() and (np.diff(one) > 0).all()
+
+
+def _conjugates(g, a, b):
+    """Sorted distinct x^-1 y x over x in a, y in b, from mult and inverse
+    alone: a reference off the library's pair scans."""
+    x = np.asarray(a, dtype=np.int64).ravel()[:, None]
+    y = np.asarray(b, dtype=np.int64).ravel()[None, :]
+    return np.unique(g.mult(g.mult(g.inverse(x), y), x))
+
+
+def _commutator_set(g, a, b):
+    """{[x, y] = x^-1 y^-1 x y : x in a, y in b}, from mult and inverse alone."""
+    x = np.asarray(a, dtype=np.int64).ravel()[:, None]
+    y = np.asarray(b, dtype=np.int64).ravel()[None, :]
+    inv = g.mult(g.inverse(x), g.inverse(y))
+    return frozenset(g.mult(inv, g.mult(x, y)).ravel().tolist())
 
 
 def _power_series_inverse(g, idx):
@@ -322,8 +341,9 @@ class TestClosure:
         mat = np.eye(3, dtype=np.int64)
         mat[0, 2] = 1
         center = int(g.index_of(mat[None])[0])
-        elements, kept = fin.subgroup_closure(g, [center])
+        elements, kept, comms = fin.subgroup_closure(g, [center])
         assert elements.tolist() == [0, center, 2 * center] and kept == [center]
+        assert comms.dtype == np.int64 and comms.size == 0
 
     def test_generators_recover_group(self):
         g = fin.unitriangular_group(3, 2)
@@ -332,13 +352,14 @@ class TestClosure:
         m2 = np.eye(3, dtype=np.int64)
         m2[1, 2] = 1
         gens = g.index_of(np.stack([m1, m2]))
-        elements, _ = fin.subgroup_closure(g, gens)
+        elements, _, _ = fin.subgroup_closure(g, gens)
         assert (elements == np.arange(g.order)).all()
 
-    def test_empty_generators(self):
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_empty_generators(self, conjugate):
         g = fin.cyclic_group(3)
-        elements, kept = fin.subgroup_closure(g, [])
-        assert elements.tolist() == [g.identity] and kept == []
+        elements, kept, comms = fin.subgroup_closure(g, [], g.generators() if conjugate else ())
+        assert elements.tolist() == [g.identity] and kept == [] and comms.size == 0
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("name", ["U(3,3)", "U(4,2)", "U(2,2)^3", "U(3,5)", "U(4,2)xU(2,2)"])
@@ -347,37 +368,42 @@ class TestClosure:
         rng = np.random.default_rng(seed)
         gens = rng.integers(0, g.order, size=int(rng.integers(0, 4)))
         assert _closed(g, gens) == _bfs_subgroup(g, gens)
-        # with conjugation by the generators: the normal closure
+        # with conjugation by the generators: the normal closure, and the
+        # commutators of every kept generator with every generator
         everyone = np.arange(g.order)
-        elements, kept = fin.subgroup_closure(g, gens, g.generators())
-        want = _bfs_subgroup(g, g.conjugates(everyone, gens))
+        elements, kept, comms = fin.subgroup_closure(g, gens, g.generators())
+        want = _bfs_subgroup(g, _conjugates(g, everyone, gens))
         assert frozenset(elements.tolist()) == want
         assert _bfs_subgroup(g, kept) == want
+        assert (np.diff(comms) > 0).all()
+        assert frozenset(comms.tolist()) == _commutator_set(g, kept, g.generators())
 
-    def test_one_conjugation_scan_per_round(self, monkeypatch):
-        # a round keeps what its candidates add and conjugates all of it in
-        # one scan; that scan's conjugates are the next round's candidates,
-        # and a round that keeps nothing ends the closure
+    def test_one_commutator_scan_per_round(self, monkeypatch):
+        # a round keeps what its candidates add and scans the commutators
+        # [k, x] of all of it with conjugate_by in one scan; that scan's
+        # commutators are the next round's candidates, a round that keeps
+        # nothing ends the closure, and every scan's output is returned
         scans = []
-        conjugates = fin.FiniteGroup.conjugates
+        commutators = fin.FiniteGroup.commutators
 
         def recording(self, a, b):
-            out = conjugates(self, a, b)
-            scans.append((np.array(a), list(b), out.tolist()))
+            out = commutators(self, a, b)
+            scans.append((list(a), np.array(b), out.tolist()))
             return out
 
-        monkeypatch.setattr(fin.FiniteGroup, "conjugates", recording)
         g = fin.unitriangular_group(5, 2)
         gens = g.generators()
         candidates = g.commutators(gens, gens)  # 1, x_13, x_24, x_35
-        elements, kept = fin.subgroup_closure(g, candidates, gens)
+        monkeypatch.setattr(fin.FiniteGroup, "commutators", recording)
+        elements, kept, comms = fin.subgroup_closure(g, candidates, gens)
         assert len(elements) == 2**6  # x_13 .. x_15, x_24, x_25, x_35
-        assert [len(b) for _, b, _ in scans] == [3, 2]
-        assert all((a == gens).all() for a, _, _ in scans)
-        assert [k for _, b, _ in scans for k in b] == kept
-        assert set(scans[0][1]) <= set(candidates.tolist())
-        assert set(scans[1][1]) <= set(scans[0][2])
+        assert [len(a) for a, _, _ in scans] == [3, 2]
+        assert all((b == gens).all() for _, b, _ in scans)
+        assert [k for a, _, _ in scans for k in a] == kept
+        assert set(scans[0][0]) <= set(candidates.tolist())
+        assert set(scans[1][0]) <= set(scans[0][2])
         assert set(scans[1][2]) <= set(elements.tolist())
+        assert comms.tolist() == sorted(set(scans[0][2]) | set(scans[1][2]))
 
     def test_grows_through_products(self, monkeypatch):
         # each kept generator c first adds the coset H c in one scan of
@@ -393,7 +419,7 @@ class TestClosure:
 
         monkeypatch.setattr(fin.FiniteGroup, "products", recording)
         g = fin.unitriangular_group(4, 2)
-        elements, kept = fin.subgroup_closure(g, g.generators())
+        elements, kept, _ = fin.subgroup_closure(g, g.generators())
         assert len(elements) == g.order and len(kept) == 3
         assert scans[0][:2] == ([g.identity], [kept[0]])
         assert all(b == [b[-1]] or b == kept[: len(b)] for _, b, _ in scans)
@@ -405,7 +431,7 @@ class TestClosure:
 
 def _closed(group, gens):
     """The subgroup generated by gens, as a set of element indices."""
-    elements, _ = fin.subgroup_closure(group, gens)
+    elements, _, _ = fin.subgroup_closure(group, gens)
     return frozenset(elements.tolist())
 
 
@@ -457,8 +483,7 @@ class TestFiltration:
         f = fin.zassenhaus_filtration_finite(g, 4)
         everyone = np.arange(g.order)
         for sub in f.subgroups:
-            conj = g.conjugates(everyone, sorted(sub))
-            assert set(conj.tolist()) <= sub
+            assert set(_conjugates(g, everyone, sorted(sub)).tolist()) <= sub
 
     def test_u4_f5_members_are_normal(self):
         # exponent 5, so p-th powers are trivial: x_14 = [x_12, x_24] enters
@@ -467,7 +492,7 @@ class TestFiltration:
         f = fin.zassenhaus_filtration_finite(g, 4)
         assert f.dims == (3, 2, 1, 0)
         for sub in f.subgroups:
-            assert set(g.conjugates(g.generators(), sorted(sub)).tolist()) <= sub
+            assert set(_conjugates(g, g.generators(), sorted(sub)).tolist()) <= sub
 
     def test_members_nested(self):
         f = fin.zassenhaus_filtration_finite(fin.unitriangular_group(4, 2), 4)
@@ -479,26 +504,61 @@ class TestFiltration:
             with pytest.raises(ValueError, match="depth must be >= 1"):
                 fin.zassenhaus_filtration_finite(fin.cyclic_group(2), depth)
 
-    def test_one_commutator_scan_per_degree(self, monkeypatch):
-        # Jennings: G_(n) = [G_(n-1), G] G_(ceil(n/p))^p, so degree n scans
-        # the kept generators of G_(n-1) against the group's generators only
-        scans = []
+    def test_closure_commutators_feed_the_next_degree(self, monkeypatch):
+        # Jennings: G_(n) = [G_(n-1), G] G_(ceil(n/p))^p.  Degree 2 scans
+        # the generators against themselves; every later scan is a round of
+        # a closure, and the commutators [k, s] that make G_(n-1) normal are
+        # degree n's commutator candidates, so each kept generator is
+        # scanned against the group's generators exactly once
+        scans, closures = [], []
         commutators = fin.FiniteGroup.commutators
+        closure = fin.subgroup_closure
 
         def recording(self, a, b):
-            scans.append((np.array(a), np.array(b)))
+            scans.append((list(a), np.array(b)))
             return commutators(self, a, b)
 
+        def closing(group, candidates, conjugate_by=()):
+            out = closure(group, candidates, conjugate_by)
+            closures.append((np.array(candidates), out))
+            return out
+
         monkeypatch.setattr(fin.FiniteGroup, "commutators", recording)
+        monkeypatch.setattr(fin, "subgroup_closure", closing)
         g = fin.unitriangular_group(5, 2)
+        gens = g.generators()
         f = fin.zassenhaus_filtration_finite(g, 5)
         assert f.dims == (4, 3, 2, 1, 0)
-        assert len(scans) == 5
-        for prev, (a, b) in zip(f.subgroups, scans):
-            assert (b == g.generators()).all()
-            # kept generators, at most log_2 |G| = 10 of them, that generate G_(n-1)
-            assert len(a) <= 10
-            assert _closed(g, a) == prev
+        assert scans[0][0] == gens.tolist()
+        assert all((b == gens).all() for _, b in scans)
+        assert [k for a, _ in scans[1:] for k in a] == [
+            k for _, (_, kept, _) in closures for k in kept
+        ]
+        handed = _commutator_set(g, gens, gens)
+        for prev, (candidates, (_, kept, comms)) in zip(f.subgroups[1:], closures):
+            # kept generators, at most log_2 |G| = 10 of them, that generate G_(n)
+            assert len(kept) <= 10 and _closed(g, kept) == prev
+            assert frozenset(candidates[: len(handed)].tolist()) == handed
+            assert frozenset(comms.tolist()) == _commutator_set(g, kept, gens)
+            handed = frozenset(comms.tolist())
+
+    def test_finite_oracle_pass_scan_counts(self, monkeypatch):
+        # the three filtrations of the finite-oracle benchmark pass make 13
+        # commutator scans (3 of degree 2, 10 closure rounds) and 40
+        # products scans, and no other pair scan
+        counts = dict.fromkeys(["commutators", "products", "_pair_scan"], 0)
+        for name in counts:
+            method = getattr(fin.FiniteGroup, name)
+
+            def counting(self, *args, _method=method, _name=name):
+                counts[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(fin.FiniteGroup, name, counting)
+        u, dp = fin.unitriangular_group, fin.direct_product
+        for group, depth in [(u(5, 2), 5), (u(4, 3), 4), (dp(u(4, 2), u(2, 2)), 4)]:
+            fin.zassenhaus_filtration_finite(group, depth)
+        assert counts == {"commutators": 13, "products": 40, "_pair_scan": 53}
 
     def test_one_closure_per_degree_under_its_module_name(self, monkeypatch):
         # a wrapper set on the module attribute, as a trace hook sets it,

@@ -25,6 +25,9 @@ from zassenhaus.groupspec import (
     ValidationError,
     Zp,
     _fold,
+    _node_size_bound,
+    _pair,
+    _size_bound,
     closed_form,
     hp_series,
     parse_group_spec,
@@ -356,6 +359,17 @@ class TestClosedForm:
         with pytest.raises(SeriesTooLarge):
             closed_form(parse_group_spec(text), p)
 
+    @pytest.mark.parametrize("text", ["zp(200000)", "zp(20000) x zp(20000)"])
+    def test_bit_bound_past_the_budget_refused_before_the_fold(self, text, monkeypatch):
+        # the degree is within the budget, but (1 - t)^d holds C(d, k) of
+        # up to d bits: about 0.72 d^2 bits in all, 2.9e10 at d = 200000
+        def unreachable(*args):
+            raise AssertionError("a leaf was built")
+
+        monkeypatch.setattr(zassenhaus.groupspec, "_leaf_pair", unreachable)
+        with pytest.raises(SeriesTooLarge, match="closed form could take up to "):
+            closed_form(parse_group_spec(text), 2)
+
     def test_degree_bound_admits_a_large_cyclic_leaf(self):
         rf = closed_form(Cyclic(1000003), 1000003)
         assert rf.num == (1,) * 1000003 and rf.den == (1,)
@@ -483,6 +497,18 @@ class TestRandomTrees:
         again = parse_group_spec(to_text(spec))
         assert again == spec and hash(again) == hash(spec)
         assert repr(spec) == _reference_repr(spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_prime_and_tree)
+    def test_size_bound_holds(self, case):
+        # the bound closed_form refuses by is an upper bound: every exact
+        # num and den is at most as long as its bound, and the absolute
+        # sum of its coefficients, so each coefficient, is at most 2^e
+        p, spec = case
+        pair = _pair(spec, p, None)
+        if pair is not None:
+            for poly, (length, e) in zip(pair, _fold(spec, _size_bound, _node_size_bound)):
+                assert len(poly) <= length and sum(map(abs, poly)) <= 2**e
 
     @settings(max_examples=60, deadline=None)
     @given(_prime_and_tree)

@@ -10,6 +10,7 @@ from zassenhaus import finite, verify
 from zassenhaus.series import (
     _poly_divexact,
     ConstantTermNotOne,
+    LOG_BITS_PER_COEFFICIENT,
     MAX_SERIES_BITS,
     NegativeExponent,
     NotInvertible,
@@ -167,6 +168,14 @@ class TestBudget:
             check_size(top + 1)
         with pytest.raises(SeriesTooLarge):
             expand_rational(RationalFunction([1], [1, -2]), 10**8)
+
+    def test_word_sets_the_bits_a_coefficient(self):
+        # the Fraction log of dims_table takes LOG_BITS_PER_COEFFICIENT bits a
+        # degree, so its budget ends far below the integer series'
+        top = MAX_SERIES_BITS // LOG_BITS_PER_COEFFICIENT - 1
+        check_size(top, LOG_BITS_PER_COEFFICIENT)
+        with pytest.raises(SeriesTooLarge, match=f"up to degree {top + 1} "):
+            check_size(top + 1, LOG_BITS_PER_COEFFICIENT)
 
     def test_running_total_refuses_growing_coefficients(self):
         # a_k = 2^k takes k + 1 bits, and a_0..a_k pass 2^30 bits at k = 46340

@@ -295,3 +295,25 @@ def test_involution_fault_names_the_free_group(monkeypatch):
         f"expected={d + 1} got={d + 2}"
         for d in range(1, 6)
     ]
+
+
+def test_normality_audit_fault(monkeypatch):
+    # a non-normal subgroup planted as G_(2) of U(3, 3): the subgroup of the
+    # generator x_12, which conjugation by x_23 takes to x_12 x_13^(+-1),
+    # outside it; the dims are left alone, so only the normality audit can
+    # see it
+    real = finite.zassenhaus_filtration_finite
+
+    def planted(group, depth):
+        filt = real(group, depth)
+        if (group.p, group.order) != (3, 27):
+            return filt
+        x12 = int(group.generators()[0])
+        sub = frozenset(finite.subgroup_closure(group, [x12])[0].tolist())
+        subgroups = (filt.subgroups[0], sub) + filt.subgroups[2:]
+        return dataclasses.replace(filt, subgroups=subgroups)
+
+    monkeypatch.setattr(finite, "zassenhaus_filtration_finite", planted)
+    assert _failures(verify.finite_checks()) == [
+        "normality audit: unitriangular(3, 3): degree 2 member is not normal",
+    ]
