@@ -235,6 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(module: str, *names: str) -> tuple:
+    """The named classes of this package's module, if it is loaded; else ()."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
+
+
 def _report_error(exc: Exception) -> int:
     """Print one stderr line for a failed command and return its exit code.
 
@@ -242,21 +248,11 @@ def _report_error(exc: Exception) -> int:
     parse errors exit 2, integrality errors 4 and the others, bad input or
     a limit, 3. Anything else is a fault of the program and exits 5.
     """
-    # the typed errors load here, on the error path, so no command pays for
-    # modules it does not run.  After a MemoryError the load could run out of
-    # memory again, so it is skipped; a module that fails to load was not
-    # loaded before, so exc is none of its errors
-    parse_errors = integrality_errors = ()
-    if not isinstance(exc, MemoryError):
-        try:
-            from .groupspec import ParseError
-
-            parse_errors = ParseError
-            from .dimensions import NegativeDimension, NonIntegralW
-
-            integrality_errors = (NonIntegralW, NegativeDimension)
-        except Exception:
-            pass
+    # exc can only be an instance of a class whose module is loaded, so the
+    # typed errors are looked up among the loaded modules: the error path
+    # loads nothing, and cannot run out of memory doing so
+    parse_errors = _loaded("groupspec", "ParseError")
+    integrality_errors = _loaded("dimensions", "NonIntegralW", "NegativeDimension")
     if isinstance(exc, parse_errors):
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -14,21 +14,21 @@ families and two products:
 
 The Hilbert series is built by one fold, _pair, into a single unreduced
 fraction of integer coefficient tuples: hp_series cuts it after t^order and
-divides once, and closed_form keeps it exact and reduces it once.
+divides once, and closed_form keeps it exact and reduces it once. The leaves
+and the series kernels bound each list before they build it.
 """
 from __future__ import annotations
 
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from typing import Callable, Union
 
 from .numtheory import is_prime
 from .series import (
-    MAX_SERIES_BITS,
     RationalFunction,
-    SeriesTooLarge,
+    _mul,
+    _plus_multiple,
     _quotient,
     _times_binomial,
     check_order,
@@ -326,12 +326,17 @@ def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
     if isinstance(leaf, Free):
         num, den = [1], [1, -leaf.rank]
     elif isinstance(leaf, Cyclic):
-        num, den = [1] * (p if size is None else min(p, size)), [1]
+        length = p if size is None else min(p, size)
+        check_size(length - 1)
+        num, den = [1] * length, [1]
     elif isinstance(leaf, Demushkin):
         num, den = [1], [1, -leaf.rank, 1]
     elif isinstance(leaf, Zp):
-        num = [1]
-        den = [1] + [0] * (leaf.rank if size is None else min(leaf.rank, size - 1))
+        length = leaf.rank + 1 if size is None else min(leaf.rank + 1, size)
+        check_size(length - 1)
+        # one list: [1] + [0] * n would briefly hold two
+        num, den = [1], [0] * length
+        den[0] = 1
         _times_binomial(den, 1, leaf.rank)
     elif size is None:
         return None
@@ -342,62 +347,6 @@ def _leaf_pair(leaf, p: int, size: int | None) -> tuple[tuple, tuple] | None:
         for k in range(3, size, 2):
             _times_binomial(den, k, 1)
     return tuple(num[:size]), tuple(den[:size])
-
-
-def _size_bound(leaf) -> tuple[tuple[int, int], tuple[int, int]]:
-    """(length, e) of the leaf's exact num and den, as _leaf_pair builds them,
-    with the sum of the absolute coefficients at most 2^e; superpyth, which
-    has no exact pair, counts as the constant 1."""
-    if isinstance(leaf, Cyclic):
-        return (leaf.order, leaf.order.bit_length()), (1, 0)
-    if isinstance(leaf, Zp):
-        return (1, 0), (leaf.rank + 1, leaf.rank)  # (1 - t)^d sums to 2^d
-    if isinstance(leaf, Demushkin):
-        return (1, 0), (3, (leaf.rank + 2).bit_length())
-    if isinstance(leaf, Free):
-        return (1, 0), (2, (leaf.rank + 1).bit_length())
-    return (1, 0), (1, 0)
-
-
-def _node_size_bound(kind, factors) -> tuple[tuple[int, int], tuple[int, int]]:
-    """_size_bound of a node from its factors', following _pair's node.
-
-    A product's length is at most the sum of its factors' lengths less one,
-    and its absolute coefficient sum at most the product of theirs; a + b
-    sums to at most 2^(max(e_a, e_b) + 1).  A free product is bounded as if
-    every factor were distinct: each repeat multiplies by a num whose sum is
-    at least its constant term 1, so that bound is the larger.
-    """
-    if kind is FreeProduct:
-        (n_len, n_e), (d_len, d_e) = (1, 0), (1, (len(factors) - 1).bit_length())
-        for (f_len, f_e), (g_len, g_e) in factors:
-            d_len, d_e = max(d_len + f_len, g_len + n_len) - 1, max(d_e + f_e, g_e + n_e) + 1
-            n_len, n_e = n_len + f_len - 1, n_e + f_e
-        return (n_len, n_e), (d_len, d_e)
-    (n_len, n_e), (d_len, d_e) = (1, 0), (1, 0)
-    for (f_len, f_e), (g_len, g_e) in factors:
-        n_len, n_e = n_len + f_len - 1, n_e + f_e
-        d_len, d_e = d_len + g_len - 1, d_e + g_e
-    return (n_len, n_e), (d_len, d_e)
-
-
-def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
-    """The product of two coefficient tuples, cut after `size` terms if given."""
-    if len(a) > len(b):
-        a, b = b, a
-    n = len(a) + len(b) - 1 if size is None else min(len(a) + len(b) - 1, size)
-    out = [0] * n
-    for i, x in enumerate(a[:n]):
-        if x:
-            seg = b[:n - i]
-            end = i + len(seg)
-            out[i:end] = [o + x * y for o, y in zip(out[i:end], seg)]
-    return tuple(out)
-
-
-def _plus_multiple(a: tuple, m: int, b: tuple) -> tuple:
-    """a + m * b, coefficientwise."""
-    return tuple(x + m * y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def _pair(spec: GroupSpec, p: int, size: int | None) -> tuple[tuple, tuple] | None:
@@ -442,20 +391,9 @@ def closed_form(spec: GroupSpec, p: int) -> RationalFunction | str:
     """The exact folded pair in lowest terms where one exists; otherwise, where
     a superpyth factor leaves no finite pair, the product form as text.
 
-    The pair is refused with SeriesTooLarge before it is folded when an upper
-    bound on its size passes MAX_SERIES_BITS: first its degree, through
-    check_size, then its bits, each coefficient counted as at least one
-    64-bit word and at most as wide as the absolute sum of its polynomial's
-    coefficients (see _node_size_bound)."""
+    A pair too large to build is refused with SeriesTooLarge by the leaf or
+    the series kernel that would build it, before it is allocated."""
     validate(spec, p)
-    bound = _fold(spec, _size_bound, _node_size_bound)
-    check_size(max(length for length, _ in bound) - 1)
-    bits = sum(length * max(64, e + 1) for length, e in bound)
-    if bits > MAX_SERIES_BITS:
-        raise SeriesTooLarge(
-            f"coefficients of the closed form could take up to {bits} bits, "
-            f"over the budget of {MAX_SERIES_BITS} bits"
-        )
     pair = _pair(spec, p, None)
     if pair is not None:
         return RationalFunction(*pair)

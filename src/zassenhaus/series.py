@@ -8,23 +8,21 @@ logarithm of the Hilbert series. A TruncSeries carries its truncation order
 and raises instead of inventing coefficients past it, and binary operations
 only ever claim the order both operands support.
 
-Every series quotient is one recurrence, _quotient, which stays in int for an
-integer numerator over an integer denominator with constant term 1: the
-inverse is 1 / a, the logarithm integrates a' / a, expand_rational is
-num / den, and the Hilbert series is its folded num / den. In int it counts
-the bits of what it builds, and refuses past MAX_SERIES_BITS with
-SeriesTooLarge; check_size refuses an order before anything is built.
-Polynomial division is likewise one integer pseudo-division, _pseudo_divmod,
-behind both poly_gcd and exact division, and every binomial factor
-(1 - t^step)^e is one kernel, _times_binomial, for the product identity and
-for the zp and superpyth leaves of groupspec alike.
-
-Products of polynomials are taken on coefficient tuples by the one fold in
-groupspec, and RationalFunction only reduces a finished pair to lowest terms.
+Every integer coefficient list is built by a kernel here, and each refuses
+with SeriesTooLarge past MAX_SERIES_BITS (check_size). _quotient, the one
+series quotient (inverse, log, expand_rational and hp_series), counts the
+bits it builds; _mul, _plus_multiple and _times_binomial bound theirs from
+their inputs before they allocate, and _mul also refuses past
+MAX_PRODUCT_STEPS multiply-adds. _mul and _plus_multiple are the whole fold
+of groupspec, and _times_binomial is every binomial factor (1 - t^step)^e,
+for the product identity and the zp and superpyth leaves. Polynomial
+division is one integer pseudo-division, _pseudo_divmod, behind poly_gcd and
+exact division, and RationalFunction only reduces a finished pair.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb, gcd
 from typing import Iterable, Sequence, Union
 
@@ -43,6 +41,13 @@ MAX_SERIES_BITS = 1 << 30
 # has the smallest coefficients, is 255 bytes a degree at order 400 and
 # 272 at order 8000.
 LOG_BITS_PER_COEFFICIENT = 8 * 255
+
+# The most integer multiply-adds one product of coefficient tuples, _mul, may
+# take; past it SeriesTooLarge refuses the product rather than run for
+# minutes.  A multiply-add of small ints takes about 21 ns (Python 3.11.7 on
+# an AMD EPYC core: the product of two 10000-term tuples of 1s in 2.1 s), so
+# the limit is about 1.4 s.
+MAX_PRODUCT_STEPS = 1 << 26
 
 
 class SeriesError(ValueError):
@@ -99,15 +104,25 @@ def check_order(order: int) -> None:
         raise NegativeOrder("order must be >= 0")
 
 
-def check_size(degree: int, word: int = 64) -> None:
-    """Refuse coefficients up to t^degree that pass MAX_SERIES_BITS even at
-    `word` bits each, one 64-bit word by default, before any of them is
-    allocated."""
-    if word * (degree + 1) > MAX_SERIES_BITS:
+def check_size(degree: int, word: int = 64, upper: bool = False) -> None:
+    """Refuse coefficients up to t^degree that pass MAX_SERIES_BITS at
+    max(64, word) bits each, before any of them is allocated.
+
+    word is the fewest bits a coefficient takes, 64 by default, or with upper
+    the most that a kernel's inputs allow; the message names which bound the
+    figure is."""
+    bits = max(64, word) * (degree + 1)
+    if bits > MAX_SERIES_BITS:
+        take, bound = ("could take up to", "an upper") if upper else ("would take at least", "a lower")
         raise SeriesTooLarge(
-            f"coefficients up to degree {degree} would take at least "
-            f"{word * (degree + 1)} bits, over the budget of {MAX_SERIES_BITS} bits"
+            f"coefficients up to degree {degree} {take} {bits} bits ({bound} bound), "
+            f"over the budget of {MAX_SERIES_BITS} bits"
         )
+
+
+def _bits(coeffs: Iterable[int]) -> int:
+    """The most bits any of these int coefficients takes, 0 for none."""
+    return max(map(int.bit_length, coeffs), default=0)
 
 
 def _primitive(coeffs: Sequence[int]) -> tuple[int, ...]:
@@ -395,23 +410,65 @@ def expand_rational(rf: RationalFunction, order: int) -> tuple[Scalar, ...]:
     return tuple(_quotient(rf.num, rf.den, order))
 
 
+def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
+    """The product of two coefficient tuples, cut after `size` terms if given.
+
+    Refused with SeriesTooLarge before anything is multiplied when its
+    multiply-adds, nonzero terms of a times terms of b, pass
+    MAX_PRODUCT_STEPS, or when its coefficients could pass MAX_SERIES_BITS:
+    each is a sum of at most min(nonzero terms of a, terms of b) products.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    n = len(a) + len(b) - 1 if size is None else min(len(a) + len(b) - 1, size)
+    a, b = a[:n], b[:n]
+    terms = len(a) - a.count(0)
+    steps = terms * len(b)
+    if steps > MAX_PRODUCT_STEPS:
+        raise SeriesTooLarge(
+            f"coefficients up to degree {n - 1} of a product could take up to "
+            f"{steps} multiply-adds, over the limit of {MAX_PRODUCT_STEPS}"
+        )
+    check_size(n - 1, _bits(a) + _bits(b) + min(terms, len(b)).bit_length(), upper=True)
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            seg = b[:n - i]
+            end = i + len(seg)
+            out[i:end] = [o + x * y for o, y in zip(out[i:end], seg)]
+    return tuple(out)
+
+
+def _plus_multiple(a: tuple, m: int, b: tuple) -> tuple:
+    """a + m * b, coefficientwise, refused with SeriesTooLarge before it is
+    built when its coefficients could pass MAX_SERIES_BITS."""
+    check_size(max(len(a), len(b)) - 1, max(_bits(a), m.bit_length() + _bits(b)) + 1, upper=True)
+    return tuple(x + m * y for x, y in zip_longest(a, b, fillvalue=0))
+
+
 def _times_binomial(out: list[int], step: int, e: int) -> None:
     """Multiply out, in place and cut at its length, by (1 - t^step)^e.
 
-    The factor is sum_k (-1)^k C(e, k) t^(step k) for any integer e. Term k
-    follows from term k - 1 by the exact integer step
-    term_k = term_(k-1) (k - 1 - e) / k, and for e >= 0 the terms past k = e
-    are 0. Only the part of out up to its last nonzero entry is shifted, so
-    a sparse out, such as 1 followed by zeros, costs one step per term.
+    The factor is sum_k (-1)^k C(e, k) t^(step k) for any integer e; its terms
+    up to top = (len(out) - 1) // step, and for e >= 0 up to e, land in out.
+    Term k follows from term k - 1 by the exact integer step
+    term_k = term_(k-1) (k - 1 - e) / k. Only the part of out up to its last
+    nonzero entry is shifted, so a sparse out costs one step per term.
+
+    Those terms are C(e, k), or C(k - e - 1, k) for e < 0, and their absolute
+    sum is at most 2^n and 2^(top bits(n)), for n = e, or n = top - e when
+    e < 0. A coefficient of out gains at most that many bits, and an out that
+    could pass MAX_SERIES_BITS is refused before it is multiplied.
     """
+    top = (len(out) - 1) // step
+    top, n = (min(top, e), e) if e >= 0 else (top, top - e)
+    check_size(len(out) - 1, _bits(out) + min(n, top * n.bit_length()), upper=True)
     old = out[:]
     while old and old[-1] == 0:
         old.pop()
     term = 1
-    for k in range(1, (len(out) - 1) // step + 1):
+    for k in range(1, top + 1):
         term = term * (k - 1 - e) // k
-        if term == 0:
-            break
         shift = k * step
         end = shift + len(old)
         out[shift:end] = [x + term * y for x, y in zip(out[shift:end], old)]
@@ -421,8 +478,9 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...
     """Coefficients 0..order of prod_n ((1 - t^(n p)) / (1 - t^n))^(c_n).
 
     c lists c_1, c_2, ... (entry i is the exponent for n = i + 1); factors with
-    n > order cannot touch the window and are skipped. Each factor is the
-    product of two sparse binomial series with integer coefficients,
+    n > order, and numerators with n p > order, cannot touch the window and
+    are skipped. Each factor is the product of two sparse binomial series with
+    integer coefficients,
 
         (1 - t^(n p))^c = sum_k (-1)^k C(c, k) t^(n p k),   floor(N/(n p)) + 1 terms,
         (1 - t^n)^(-c)  = sum_k C(c + k - 1, k) t^(n k),    floor(N/n) + 1 terms,
@@ -440,7 +498,8 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...
             raise NegativeExponent(f"c_{n} = {cn} is negative")
         if n > order or cn == 0:
             continue
-        _times_binomial(out, n * p, cn)
+        if n * p <= order:
+            _times_binomial(out, n * p, cn)
         _times_binomial(out, n, -cn)
     return tuple(out)
 

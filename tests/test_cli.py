@@ -218,9 +218,22 @@ class TestOversizedSeries:
          "up to degree 1000000006 "),
         (["series", "zp(1000000000)", "--closed-form"], "up to degree 1000000000 "),
         # within the degree budget, but C(200000, k) takes up to 200000 bits
-        (["series", "zp(200000)", "--closed-form"], "of the closed form could take up to "),
+        (["series", "zp(200000)", "--closed-form"], "up to degree 200000 could take up to "),
+        # the cut leaves build C(10^8, k) for every k up to the order
+        (["series", "zp(100000000)", "--max-n", "1000000"], "up to degree 1000000 could take up to "),
+        (["dims", "zp(100000000)", "--max-n", "200000"], "up to degree 200000 could take up to "),
+        (["series", "superpyth(100000000)", "--max-n", "1000000"],
+         "up to degree 1000000 could take up to "),
+        (["dims", "superpyth(100000000)", "--max-n", "200000"], "up to degree 200000 could take up to "),
+        # each leaf is within the budget, their product is not
+        (["series", "zp(20000) x zp(20000)", "--closed-form"], "up to degree 40000 of a product "),
+        # within the bit budget, but about 10^10 multiply-adds
+        (["series", "cyclic(100003) x cyclic(100003)", "--prime", "100003", "--closed-form"],
+         "up to degree 200004 of a product "),
+        (["series", "cyclic(1000003) x cyclic(1000003)", "--prime", "1000003", "--max-n", "100000"],
+         "up to degree 100000 of a product "),
         # within the integer budget, but not the Fraction log's
-        (["dims", "cyclic(2)", "--max-n", "10000000"], "up to degree 10000000 "),
+        (["dims", "cyclic(2)", "--max-n", "10000000"], "up to degree 10000000 would take at least "),
         # a_k = 2^k: the running total passes the budget at a_46340
         (["series", "free(2)", "--max-n", "50000"], "a_0..a_46340 of a series"),
     ])
@@ -462,6 +475,22 @@ class TestExitCodes:
         monkeypatch.setattr(builtins, "__import__", failing_import)
         assert cli._report_error(exc) == code
         assert capsys.readouterr() == ("", line + "\n")
+
+    @pytest.mark.parametrize("exc, code", [
+        (MemoryError(), 5),
+        (SeriesTooLarge("too big"), 3),
+        (ParseError("bad", 0), 2),
+        (NonIntegralW(3, Fraction(1, 3)), 4),
+        (NegativeDimension(2, -1), 4),
+    ])
+    def test_error_path_imports_nothing(self, capsys, monkeypatch, exc, code):
+        # the typed errors are read from the modules already loaded
+        def no_import(*args, **kwargs):
+            raise AssertionError(f"the error path imported {args[0]!r}")
+
+        monkeypatch.setattr(builtins, "__import__", no_import)
+        assert cli._report_error(exc) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_integrality_maps_to_4(self, capsys, monkeypatch):
         def explode(spec, p, order):

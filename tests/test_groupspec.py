@@ -1,5 +1,6 @@
 """Expression language: parsing, validation, series evaluation."""
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import make_dataclass
 from functools import cache
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zassenhaus.groupspec
+from zassenhaus import series
 from zassenhaus.groupspec import (
     ArityError,
     Cyclic,
@@ -25,9 +27,6 @@ from zassenhaus.groupspec import (
     ValidationError,
     Zp,
     _fold,
-    _node_size_bound,
-    _pair,
-    _size_bound,
     closed_form,
     hp_series,
     parse_group_spec,
@@ -35,6 +34,7 @@ from zassenhaus.groupspec import (
     validate,
 )
 from zassenhaus.series import (
+    MAX_SERIES_BITS,
     RationalFunction,
     SeriesTooLarge,
     TruncSeries,
@@ -317,6 +317,27 @@ class TestHpSeries:
         with pytest.raises(SeriesTooLarge, match="up to degree 100000000 "):
             hp_series(spec, 2, 10**8)
 
+    @pytest.mark.parametrize("spec, p, order", [
+        # the cut leaves build C(10^8, k) for every k up to the order
+        (Zp(10**8), 2, 10**6),
+        (Zp(10**8), 2, 200_000),
+        (SuperPyth(10**8), 2, 10**6),
+        (SuperPyth(10**8), 2, 200_000),
+        # each leaf is within the budget, their product is not
+        (DirectProduct(Zp(20000), Zp(20000)), 2, 40_000),
+        # within the bit budget, but about 10^10 multiply-adds
+        (DirectProduct(Cyclic(100003), Cyclic(100003)), 100003, 200_004),
+        (DirectProduct(Cyclic(1000003), Cyclic(1000003)), 1000003, 100_000),
+    ])
+    def test_oversized_leaf_or_product_refused(self, spec, p, order):
+        with pytest.raises(SeriesTooLarge, match=f"up to degree {order} "):
+            hp_series(spec, p, order)
+
+    def test_large_rank_at_a_small_order(self):
+        # only the terms up to the order are built, not the rank's
+        want = (1, *(comb(10**8 + k - 1, k) for k in range(1, 11)))
+        assert hp_series(Zp(10**8), 2, 10) == want
+
     def test_growing_coefficients_refused_while_dividing(self):
         # a_k = 2^k: a_0..a_46340 take more than 2^30 bits
         with pytest.raises(SeriesTooLarge, match=r"a_0\.\.a_46340 "):
@@ -347,28 +368,28 @@ class TestClosedForm:
     @pytest.mark.parametrize("text, p", [
         ("cyclic(1000000007)", 1000000007),
         ("zp(1000000000)", 2),
-        # each leaf alone is within the budget, their product is not
+        # each leaf's degree is within the budget, their product's is not
         ("zp(8388608) x zp(8388608)", 2),
         ("zp(8388608) * free(1) x zp(8388608)", 2),
+        # the degree is within the budget, but (1 - t)^d holds C(d, k) of up
+        # to d bits: about 0.72 d^2 bits in all, 2.9e10 at d = 200000
+        ("zp(200000)", 2),
+        ("zp(20000) x zp(20000)", 2),
+        # within the bit budget, but about 10^10 multiply-adds
+        ("cyclic(100003) x cyclic(100003)", 100003),
     ])
-    def test_degree_bound_past_the_budget_refused_before_the_fold(self, text, p, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a leaf was built")
-
-        monkeypatch.setattr(zassenhaus.groupspec, "_leaf_pair", unreachable)
-        with pytest.raises(SeriesTooLarge):
-            closed_form(parse_group_spec(text), p)
-
-    @pytest.mark.parametrize("text", ["zp(200000)", "zp(20000) x zp(20000)"])
-    def test_bit_bound_past_the_budget_refused_before_the_fold(self, text, monkeypatch):
-        # the degree is within the budget, but (1 - t)^d holds C(d, k) of
-        # up to d bits: about 0.72 d^2 bits in all, 2.9e10 at d = 200000
-        def unreachable(*args):
-            raise AssertionError("a leaf was built")
-
-        monkeypatch.setattr(zassenhaus.groupspec, "_leaf_pair", unreachable)
-        with pytest.raises(SeriesTooLarge, match="closed form could take up to "):
-            closed_form(parse_group_spec(text), 2)
+    def test_past_the_budget_refused_within_the_budget(self, text, p):
+        # each leaf or product is refused before it allocates, so the
+        # refusal itself stays under the budget it enforces
+        spec = parse_group_spec(text)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SeriesTooLarge):
+                closed_form(spec, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < MAX_SERIES_BITS // 8
 
     def test_degree_bound_admits_a_large_cyclic_leaf(self):
         rf = closed_form(Cyclic(1000003), 1000003)
@@ -500,15 +521,39 @@ class TestRandomTrees:
 
     @settings(max_examples=150, deadline=None)
     @given(_prime_and_tree)
-    def test_size_bound_holds(self, case):
-        # the bound closed_form refuses by is an upper bound: every exact
-        # num and den is at most as long as its bound, and the absolute
-        # sum of its coefficients, so each coefficient, is at most 2^e
+    def test_kernels_check_the_bits_they_return(self, case):
+        # each kernel's check is an upper bound on what it returns: at least
+        # as many coefficients, and at least the bit length of each
         p, spec = case
-        pair = _pair(spec, p, None)
-        if pair is not None:
-            for poly, (length, e) in zip(pair, _fold(spec, _size_bound, _node_size_bound)):
-                assert len(poly) <= length and sum(map(abs, poly)) <= 2**e
+        checks, returned = [], []
+        real_check = series.check_size
+
+        def check_size(degree, word=64, upper=False):
+            checks.append((degree, word))
+            real_check(degree, word, upper)
+
+        def watch(kernel):
+            def watched(*args):
+                start = len(checks)
+                out = kernel(*args)
+                # _times_binomial multiplies its first argument in place
+                returned.append((checks[start:], tuple(args[0]) if out is None else out))
+                return out
+
+            return watched
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "check_size", check_size)
+            for name in ("_mul", "_plus_multiple", "_times_binomial"):
+                kernel = watch(getattr(series, name))
+                mp.setattr(series, name, kernel)
+                mp.setattr(zassenhaus.groupspec, name, kernel)
+            closed_form(spec, p)
+            hp_series(spec, p, 12)
+        for kernel_checks, out in returned:
+            [(degree, word)] = kernel_checks
+            assert len(out) <= degree + 1
+            assert all(c.bit_length() <= word for c in out)
 
     @settings(max_examples=60, deadline=None)
     @given(_prime_and_tree)

@@ -3,12 +3,14 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zassenhaus import finite, verify
+from zassenhaus import finite, series, verify
 from zassenhaus.series import (
+    _mul,
     _poly_divexact,
+    _times_binomial,
     ConstantTermNotOne,
     LOG_BITS_PER_COEFFICIENT,
     MAX_SERIES_BITS,
@@ -182,6 +184,35 @@ class TestBudget:
         with pytest.raises(SeriesTooLarge, match=r"a_0\.\.a_46340 of a series to degree 50000"):
             expand_rational(RationalFunction([1], [1, -2]), 50_000)
         assert expand_rational(RationalFunction([1], [1, -2]), 46_000)[-1] == 2**46_000
+
+
+    def test_product_counts_the_multiply_adds_of_nonzero_terms(self, monkeypatch):
+        monkeypatch.setattr(series, "MAX_PRODUCT_STEPS", 100)
+        assert _mul((1,) * 10, (1,) * 10, None) == (*range(1, 11), *range(9, 0, -1))
+        # the shorter factor's zeros take no steps
+        assert _mul((1, 0, 0, 1), (1,) * 50, None)[:4] == (1, 1, 1, 2)
+        with pytest.raises(SeriesTooLarge, match="up to degree 19 of a product could take up to 110 "):
+            _mul((1,) * 10, (1,) * 11, None)
+        # a cut product counts the terms it keeps
+        assert _mul((1,) * 20, (1,) * 20, 5) == (1, 2, 3, 4, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=30),
+        st.integers(1, 4),
+        st.integers(-60, 60),
+    )
+    # equal coefficients add up to near the bound
+    @example([2**40] * 30, 1, -1)
+    @example([2**40] * 30, 1, 29)
+    def test_binomial_bound_holds(self, out, step, e):
+        # the bits _times_binomial checks bound every coefficient it leaves
+        checks = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "check_size", lambda degree, word=64, upper=False: checks.append(word))
+            _times_binomial(out, step, e)
+        [word] = checks
+        assert all(c.bit_length() <= word for c in out)
 
 
 def test_product_identity_rhs_single_layer():
