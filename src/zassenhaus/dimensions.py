@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .groupspec import Demushkin, Free, GroupSpec, hp_series, validate
+from .groupspec import Demushkin, Free, GroupSpec, ValidationError, hp_series, validate
 from .numtheory import NonIntegralW, is_prime, moebius_table
 from .series import LOG_BITS_PER_COEFFICIENT, TruncSeries, check_size
 
@@ -25,8 +25,6 @@ __all__ = [
     "DimensionTable",
     "NonIntegralW",
     "NegativeDimension",
-    "UnsupportedSpec",
-    "OutOfRange",
     "w_sequence",
     "c_sequence",
     "dims_table",
@@ -41,14 +39,6 @@ class NegativeDimension(ValueError):
         super().__init__(f"c_{n} = {value} is negative")
         self.degree = n
         self.value = value
-
-
-class UnsupportedSpec(ValueError):
-    """Operation defined only for certain leaf families."""
-
-
-class OutOfRange(ValueError):
-    """Degree argument outside the table's range."""
 
 
 def w_sequence(b: Sequence[Fraction]) -> list[int]:
@@ -119,7 +109,7 @@ class DimensionTable:
     def galois_exponent(self, n: int) -> int:
         """log_p of the relevant Galois section size: sum of c_1 .. c_(n-1)."""
         if not 1 <= n <= self.order + 1:
-            raise OutOfRange(f"n must be in 1..{self.order + 1}, got {n}")
+            raise ValidationError(f"n must be in 1..{self.order + 1}, got {n}")
         return sum(self.c[1:n])
 
 
@@ -132,7 +122,7 @@ def dims_table(spec: GroupSpec, p: int, order: int) -> DimensionTable:
     validate(spec, p)
     check_size(order, LOG_BITS_PER_COEFFICIENT)
     a = hp_series(spec, p, order)
-    b = TruncSeries(order, a).log().coeffs[1:]  # raises ConstantTermNotOne unless a_0 = 1
+    b = TruncSeries(order, a).log().coeffs[1:]  # raises SeriesError unless a_0 = 1
     w = w_sequence(b)
     return DimensionTable(
         p=p, order=order, a=a, b=(Fraction(0), *b), w=(0, *w), c=(0, *c_sequence(w, p))
@@ -149,15 +139,15 @@ def min_generators(spec: GroupSpec, p: int, n: int, c: Sequence[int]) -> int:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:
-        raise OutOfRange(f"n must be >= 1, got {n}")
+        raise ValidationError(f"n must be >= 1, got {n}")
     if len(c) < n - 1:
-        raise OutOfRange(f"need c_1..c_{n - 1}, got {len(c)} values")
+        raise ValidationError(f"need c_1..c_{n - 1}, got {len(c)} values")
     if isinstance(spec, Free) and spec.rank >= 1:
         scale, shift = spec.rank - 1, 1
     elif isinstance(spec, Demushkin) and spec.rank >= 2:
         scale, shift = spec.rank - 2, 2
     else:
-        raise UnsupportedSpec(
+        raise ValidationError(
             "index formula applies to free(d >= 1) and demushkin(d >= 2) only"
         )
     exponent = sum(c[: n - 1])

@@ -122,21 +122,37 @@ def _preorder(spec: GroupSpec) -> tuple:
 
 
 def _fold(spec: GroupSpec, leaf: Callable, node: Callable):
-    """Evaluate the tree bottom-up: leaf(x) once per distinct leaf, and
-    node(kind, values) per product, with its factors' values in order."""
-    leaf_values, stack = {}, []
+    """Evaluate the tree bottom-up, each distinct subtree once: leaf(x) per
+    distinct leaf and node(kind, values) per distinct product, its factors'
+    values in order. A first pass numbers the distinct subtrees, a product by
+    its kind and its factors' numbers, and counts their uses as factors; a
+    value is dropped after its last use, and a key once it is evaluated."""
+    number, keys, uses, stack = {}, [], [], []
     for item in reversed(_preorder(spec)):
         if isinstance(item, tuple):
-            kind, count = item
-            start = len(stack) - count
-            values = stack[start:][::-1]
+            start = len(stack) - item[1]
+            item = (item[0], *reversed(stack[start:]))
             del stack[start:]
-            stack.append(node(kind, values))
-        else:
-            if item not in leaf_values:
-                leaf_values[item] = leaf(item)
-            stack.append(leaf_values[item])
-    return stack[0]
+        i = number.setdefault(item, len(keys))
+        if i == len(keys):
+            keys.append(item)
+            uses.append(0)
+            for j in item[1:] if isinstance(item, tuple) else ():
+                uses[j] += 1
+        stack.append(i)
+    del number
+    values = [None] * len(keys)
+    for i, item in enumerate(keys):
+        keys[i] = None
+        if not isinstance(item, tuple):
+            values[i] = leaf(item)
+            continue
+        values[i] = node(item[0], [values[j] for j in item[1:]])
+        for j in item[1:]:
+            uses[j] -= 1
+            if not uses[j]:
+                values[j] = None
+    return values[-1]
 
 
 _LEAF_NAMES = {
@@ -161,11 +177,8 @@ class ArityError(ParseError):
 
 
 class ValidationError(ValueError):
-    """A structurally well-formed expression that is invalid at the working prime."""
-
-
-class PrimeMismatch(ValidationError):
-    pass
+    """A well-formed expression that is invalid at the working prime, or an
+    argument outside the range an operation supports."""
 
 
 class RankOutOfRange(ValidationError):
@@ -174,7 +187,7 @@ class RankOutOfRange(ValidationError):
 
 def check_prime(p: int) -> None:
     if not is_prime(p):
-        raise PrimeMismatch(f"working prime must be prime, got {p}")
+        raise ValidationError(f"working prime must be prime, got {p}")
 
 
 # str.isdigit also accepts other scripts' digits and superscripts
@@ -301,12 +314,12 @@ def validate(spec: GroupSpec, p: int) -> None:
     for leaf in _preorder(spec):
         if isinstance(leaf, Cyclic):
             if leaf.order != p:
-                raise PrimeMismatch(
+                raise ValidationError(
                     f"cyclic({leaf.order}) does not match the working prime {p}"
                 )
         elif isinstance(leaf, SuperPyth):
             if p != 2:
-                raise PrimeMismatch(f"superpyth({leaf.rank}) is only defined at p = 2")
+                raise ValidationError(f"superpyth({leaf.rank}) is only defined at p = 2")
             if leaf.rank < 0:
                 raise RankOutOfRange(f"superpyth rank must be >= 0, got {leaf.rank}")
         elif isinstance(leaf, (Free, Zp)):

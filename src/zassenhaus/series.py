@@ -13,9 +13,10 @@ with SeriesTooLarge past MAX_SERIES_BITS (check_size). _quotient, the one
 series quotient (inverse, log, expand_rational and hp_series), counts the
 bits it builds; _mul, _plus_multiple and _times_binomial bound theirs from
 their inputs before they allocate, and _mul also refuses past
-MAX_PRODUCT_STEPS multiply-adds. _mul and _plus_multiple are the whole fold
-of groupspec, and _times_binomial is every binomial factor (1 - t^step)^e,
-for the product identity and the zp and superpyth leaves. Polynomial
+MAX_PRODUCT_STEPS multiply-adds, weighted by coefficient width. _mul and
+_plus_multiple are the whole fold of groupspec, and _times_binomial is every
+binomial factor (1 - t^step)^e, for the product identity, which checks its
+order first, and the zp and superpyth leaves. Polynomial
 division is one integer pseudo-division, _pseudo_divmod, behind poly_gcd and
 exact division, and RationalFunction only reduces a finished pair.
 """
@@ -24,11 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .numtheory import is_prime
-
-Scalar = Union[int, Fraction]
 
 # The most bits that the integer coefficients of one series, or of one exact
 # polynomial, may take, each coefficient counted as at least one 64-bit word;
@@ -42,40 +41,21 @@ MAX_SERIES_BITS = 1 << 30
 # 272 at order 8000.
 LOG_BITS_PER_COEFFICIENT = 8 * 255
 
-# The most integer multiply-adds one product of coefficient tuples, _mul, may
-# take; past it SeriesTooLarge refuses the product rather than run for
-# minutes.  A multiply-add of small ints takes about 21 ns (Python 3.11.7 on
-# an AMD EPYC core: the product of two 10000-term tuples of 1s in 2.1 s), so
-# the limit is about 1.4 s.
+# The most weighted multiply-adds one product of coefficient tuples, _mul,
+# may take; past it SeriesTooLarge refuses the product rather than run for
+# minutes.  A multiply-add of an a-bit by a b-bit int weighs
+# (1 + a/256)(1 + b/256): on Python 3.11.7 and one Xeon core it takes 43 to
+# 69 ns a unit of that weight from 1 to 4096 bits, so the limit is 3 to 5 s.
 MAX_PRODUCT_STEPS = 1 << 26
 
 
 class SeriesError(ValueError):
-    """Base class for arithmetic contract violations in this module."""
-
-
-class ZeroConstantDenominator(SeriesError):
-    """Denominator vanishes at t = 0, so no power-series expansion exists."""
-
-
-class NotInvertible(SeriesError):
-    """Series has constant term 0 and cannot be inverted."""
-
-
-class ConstantTermNotOne(SeriesError):
-    """log is only defined here for series with constant term 1."""
-
-
-class NegativeExponent(SeriesError):
-    """A product exponent that must be a dimension (hence >= 0) was negative."""
+    """An arithmetic contract violation in this module, such as a constant
+    term 0 where it must not be or a coefficient past the truncation order."""
 
 
 class SeriesTooLarge(SeriesError):
     """The coefficients asked for would take more than MAX_SERIES_BITS bits."""
-
-
-class OrderExceeded(SeriesError):
-    """A coefficient beyond the stored truncation order was requested."""
 
 
 class NegativeOrder(SeriesError):
@@ -232,9 +212,7 @@ class RationalFunction:
     def __init__(self, num: Iterable[int], den: Iterable[int] = (1,)):
         num, den = _strip(num), _strip(den)
         if not den or den[0] == 0:
-            raise ZeroConstantDenominator(
-                "denominator vanishes at t = 0; no series expansion exists"
-            )
+            raise SeriesError("denominator vanishes at t = 0; no series expansion exists")
         if not num:
             den = (1,)
         else:
@@ -263,12 +241,12 @@ class TruncSeries:
     """Power series truncated at a fixed order, with exact rational coefficients.
 
     Stores exactly order + 1 coefficients. Indexing past the order raises
-    OrderExceeded rather than returning a fabricated zero.
+    SeriesError rather than returning a fabricated zero.
     """
 
     __slots__ = ("_order", "_coeffs")
 
-    def __init__(self, order: int, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, order: int, coeffs: Iterable[int | Fraction] = ()):
         check_order(order)
         cs = [Fraction(c) for c in coeffs]
         if len(cs) > order + 1:
@@ -291,11 +269,9 @@ class TruncSeries:
 
     def __getitem__(self, n: int) -> Fraction:
         if n < 0:
-            raise OrderExceeded("negative index")
+            raise SeriesError("negative index")
         if n > self._order:
-            raise OrderExceeded(
-                f"coefficient {n} requested but series is truncated at {self._order}"
-            )
+            raise SeriesError(f"coefficient {n} requested but series is truncated at {self._order}")
         return self._coeffs[n]
 
     def valuation(self) -> int | None:
@@ -352,7 +328,7 @@ class TruncSeries:
 
     def inverse(self) -> TruncSeries:
         if self._coeffs[0] == 0:
-            raise NotInvertible("constant term is 0")
+            raise SeriesError("constant term is 0")
         return TruncSeries(self._order, _quotient([1], self._coeffs, self._order))
 
     def log(self) -> TruncSeries:
@@ -364,7 +340,7 @@ class TruncSeries:
         """
         a = self._coeffs
         if a[0] != 1:
-            raise ConstantTermNotOne("log requires constant term 1")
+            raise SeriesError("log requires constant term 1")
         n = self._order
         s = _quotient([k * a[k] for k in range(1, n + 1)], a, n - 1)
         return TruncSeries(n, [0] + [sk / k for k, sk in enumerate(s, start=1)])
@@ -378,7 +354,7 @@ class TruncSeries:
         if not isinstance(e, int):
             return NotImplemented
         if e < 0:
-            raise NegativeExponent("series power must be >= 0")
+            raise SeriesError("series power must be >= 0")
         a0 = self._coeffs[0]
         u = self - a0
         v = u.valuation()
@@ -402,7 +378,7 @@ class TruncSeries:
         return f"TruncSeries(order={self._order}, coeffs={[str(c) for c in self._coeffs]})"
 
 
-def expand_rational(rf: RationalFunction, order: int) -> tuple[Scalar, ...]:
+def expand_rational(rf: RationalFunction, order: int) -> tuple[int | Fraction, ...]:
     """Coefficients 0..order of the series num / den, exactly: int when
     den[0] == 1, as for every closed form of a group expression, and Fraction
     otherwise."""
@@ -414,22 +390,23 @@ def _mul(a: tuple, b: tuple, size: int | None) -> tuple:
     """The product of two coefficient tuples, cut after `size` terms if given.
 
     Refused with SeriesTooLarge before anything is multiplied when its
-    multiply-adds, nonzero terms of a times terms of b, pass
-    MAX_PRODUCT_STEPS, or when its coefficients could pass MAX_SERIES_BITS:
-    each is a sum of at most min(nonzero terms of a, terms of b) products.
+    multiply-adds, nonzero terms of a times terms of b, each weighed by the
+    widest coefficients of a and b as at MAX_PRODUCT_STEPS, pass that limit,
+    or when its coefficients could pass MAX_SERIES_BITS: each is a sum of at
+    most min(nonzero terms of a, terms of b) products.
     """
     if len(a) > len(b):
         a, b = b, a
     n = len(a) + len(b) - 1 if size is None else min(len(a) + len(b) - 1, size)
     a, b = a[:n], b[:n]
-    terms = len(a) - a.count(0)
-    steps = terms * len(b)
+    terms, bits_a, bits_b = len(a) - a.count(0), _bits(a), _bits(b)
+    steps = terms * len(b) * (256 + bits_a) * (256 + bits_b) >> 16
     if steps > MAX_PRODUCT_STEPS:
         raise SeriesTooLarge(
             f"coefficients up to degree {n - 1} of a product could take up to "
-            f"{steps} multiply-adds, over the limit of {MAX_PRODUCT_STEPS}"
+            f"{steps} weighted multiply-adds, over the limit of {MAX_PRODUCT_STEPS}"
         )
-    check_size(n - 1, _bits(a) + _bits(b) + min(terms, len(b)).bit_length(), upper=True)
+    check_size(n - 1, bits_a + bits_b + min(terms, len(b)).bit_length(), upper=True)
     out = [0] * n
     for i, x in enumerate(a):
         if x:
@@ -491,11 +468,12 @@ def product_identity_rhs(c: Sequence[int], p: int, order: int) -> tuple[int, ...
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     check_order(order)
+    check_size(order)
     out = [1] + [0] * order
     for n, cn in enumerate(c, start=1):
         cn = _as_int(cn)
         if cn < 0:
-            raise NegativeExponent(f"c_{n} = {cn} is negative")
+            raise SeriesError(f"c_{n} = {cn} is negative")
         if n > order or cn == 0:
             continue
         if n * p <= order:

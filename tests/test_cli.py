@@ -232,6 +232,8 @@ class TestOversizedSeries:
          "up to degree 200004 of a product "),
         (["series", "cyclic(1000003) x cyclic(1000003)", "--prime", "1000003", "--max-n", "100000"],
          "up to degree 100000 of a product "),
+        # few enough multiply-adds, but of coefficients up to 3500 bits wide
+        (["series", "zp(3500) x zp(3500)", "--closed-form"], "up to degree 7000 of a product "),
         # within the integer budget, but not the Fraction log's
         (["dims", "cyclic(2)", "--max-n", "10000000"], "up to degree 10000000 would take at least "),
         # a_k = 2^k: the running total passes the budget at a_46340

@@ -21,12 +21,11 @@ from zassenhaus.groupspec import (
     Free,
     FreeProduct,
     ParseError,
-    PrimeMismatch,
     RankOutOfRange,
     SuperPyth,
     ValidationError,
     Zp,
-    _fold,
+    _pair,
     closed_form,
     hp_series,
     parse_group_spec,
@@ -216,12 +215,12 @@ class TestRoundTrip:
 
 class TestValidate:
     def test_cyclic_must_match_prime(self):
-        with pytest.raises(PrimeMismatch):
+        with pytest.raises(ValidationError, match=r"^cyclic\(3\) does not match the working prime 2$"):
             validate(Cyclic(3), 2)
         validate(Cyclic(3), 3)
 
     def test_superpyth_needs_p2(self):
-        with pytest.raises(PrimeMismatch):
+        with pytest.raises(ValidationError, match=r"^superpyth\(2\) is only defined at p = 2$"):
             validate(SuperPyth(2), 3)
         validate(SuperPyth(2), 2)
 
@@ -237,11 +236,11 @@ class TestValidate:
         validate(Zp(0), 5)
 
     def test_nonprime_p(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^working prime must be prime, got 4$"):
             validate(Free(2), 4)
 
     def test_products_validated_recursively(self):
-        with pytest.raises(PrimeMismatch):
+        with pytest.raises(ValidationError, match=r"^cyclic\(5\) does not match the working prime 2$"):
             validate(FreeProduct(Free(1), Cyclic(5)), 2)
         with pytest.raises(RankOutOfRange):
             validate(DirectProduct(Demushkin(0), Free(1)), 2)
@@ -296,7 +295,7 @@ class TestHpSeries:
         assert lhs == (sq * sq).coeffs
 
     def test_series_validates(self):
-        with pytest.raises(PrimeMismatch):
+        with pytest.raises(ValidationError, match=r"^cyclic\(2\) does not match the working prime 3$"):
             hp_series(Cyclic(2), 3, 4)
 
     @pytest.mark.parametrize("d", [0, 1, 5, 40])
@@ -467,6 +466,24 @@ class TestBottomUpWalk:
         # the fold works on integer pairs and divides once, at the end
         assert calls == []
 
+    @pytest.mark.parametrize("size", [None, 13])
+    def test_copies_of_a_factor_are_multiplied_once(self, monkeypatch, size):
+        # the direct product is multiplied out once however often it repeats,
+        # and the free product steps over it once, with multiplicity k
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return series._mul(*args)
+
+        monkeypatch.setattr(zassenhaus.groupspec, "_mul", counted)
+        counts = []
+        for k in (2, 8):
+            calls.clear()
+            _pair(parse_group_spec(" * ".join(["(zp(3) x cyclic(2))"] * k)), 2, size)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_closed_form_600_alternations(self):
         spec = nest_by_hand(600)
         assert expand_rational(closed_form(spec, 2), 8) == hp_series(spec, 2, 8)
@@ -488,9 +505,16 @@ def _trees(p, superpyth=True):
     if p == 2 and superpyth:
         leaves.append(st.builds(SuperPyth, st.integers(0, 2)))
     node = st.sampled_from([FreeProduct, DirectProduct])
+    # some factors repeat an earlier one, parsed anew from its text, as in
+    # "(zp(1) x free(2)) * (zp(1) x free(2))": equal subtrees built apart
+    copies = st.lists(st.integers(0, 3), max_size=2)
+
+    def product(kind, factors, again):
+        return kind(*factors, *(parse_group_spec(to_text(factors[i % len(factors)])) for i in again))
+
     return st.recursive(
         st.one_of(leaves),
-        lambda kids: st.builds(lambda kind, fs: kind(*fs), node, st.lists(kids, min_size=2, max_size=4)),
+        lambda kids: st.builds(product, node, st.lists(kids, min_size=2, max_size=4), copies),
         max_leaves=12,
     )
 
@@ -564,6 +588,14 @@ class TestRandomTrees:
             assert hp_series(spec, p, 10) == expand_rational(form, 10)
 
 
+def _walk(spec, leaf, node):
+    """The bottom-up walk by plain recursion, every subtree evaluated where
+    it stands, so the references share nothing with groupspec._fold."""
+    if isinstance(spec, (FreeProduct, DirectProduct)):
+        return node(type(spec), [_walk(f, leaf, node) for f in spec.factors])
+    return leaf(spec)
+
+
 def _inverse_based_hp_series(spec, p, order):
     """hp_series as it stood before the pair fold, kept as a reference.
 
@@ -601,7 +633,7 @@ def _inverse_based_hp_series(spec, p, order):
             s = s * f
         return s
 
-    return _fold(spec, leaf, node)
+    return _walk(spec, leaf, node)
 
 
 class TestPairFoldMatchesInverses:
@@ -665,7 +697,7 @@ def _per_node_closed_form(spec, p):
             rf = RationalFunction(_poly_mul(rf.num, num), _poly_mul(rf.den, den))
         return rf
 
-    return _fold(spec, leaf, node)
+    return _walk(spec, leaf, node)
 
 
 _prime_and_rational_tree = st.sampled_from([2, 3, 5]).flatmap(

@@ -1,4 +1,5 @@
 """Exact polynomial / truncated series arithmetic."""
+import tracemalloc
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -11,16 +12,12 @@ from zassenhaus.series import (
     _mul,
     _poly_divexact,
     _times_binomial,
-    ConstantTermNotOne,
     LOG_BITS_PER_COEFFICIENT,
     MAX_SERIES_BITS,
-    NegativeExponent,
-    NotInvertible,
-    OrderExceeded,
     RationalFunction,
+    SeriesError,
     SeriesTooLarge,
     TruncSeries,
-    ZeroConstantDenominator,
     check_size,
     expand_rational,
     format_poly,
@@ -89,7 +86,7 @@ class TestRationalFunction:
         assert RationalFunction([0], [1, -1]) == RationalFunction([0], [5])
 
     def test_denominator_unit_required(self):
-        with pytest.raises(ZeroConstantDenominator):
+        with pytest.raises(SeriesError, match="^denominator vanishes at t = 0; no series expansion exists$"):
             RationalFunction([1], [0, 1])
 
     def test_fibonacci_expansion(self):
@@ -113,9 +110,9 @@ class TestTruncSeries:
     def test_order_respected(self):
         s = TruncSeries(3, [1, 1])
         assert s[3] == 0
-        with pytest.raises(OrderExceeded):
+        with pytest.raises(SeriesError, match="^coefficient 4 requested but series is truncated at 3$"):
             s[4]
-        with pytest.raises(OrderExceeded):
+        with pytest.raises(SeriesError, match="^negative index$"):
             s[-1]
 
     def test_too_many_coefficients_rejected(self):
@@ -127,7 +124,7 @@ class TestTruncSeries:
         assert s.inverse().int_coeffs() == [1, -1, 0, 0]
 
     def test_inverse_requires_unit(self):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(SeriesError, match="^constant term is 0$"):
             TruncSeries(3, [0, 1]).inverse()
 
     def test_log_one_plus_t(self):
@@ -142,7 +139,7 @@ class TestTruncSeries:
         assert [s[k] for k in range(4)] == [0, 2, 2, Fraction(8, 3)]
 
     def test_log_requires_unit_one(self):
-        with pytest.raises(ConstantTermNotOne):
+        with pytest.raises(SeriesError, match="^log requires constant term 1$"):
             TruncSeries(3, [2, 1]).log()
 
     def test_pow_zero_and_huge(self):
@@ -153,7 +150,7 @@ class TestTruncSeries:
         assert big[2] == (10 ** 6) * (10 ** 6 - 1) // 2
 
     def test_pow_negative_rejected(self):
-        with pytest.raises(NegativeExponent):
+        with pytest.raises(SeriesError, match="^series power must be >= 0$"):
             TruncSeries(2, [1, 1]) ** -2
 
     def test_scalar_mixing(self):
@@ -196,6 +193,17 @@ class TestBudget:
         # a cut product counts the terms it keeps
         assert _mul((1,) * 20, (1,) * 20, 5) == (1, 2, 3, 4, 5)
 
+    def test_product_weighs_the_multiply_adds_by_coefficient_width(self, monkeypatch):
+        # a step of an a-bit by a b-bit coefficient weighs (1 + a/256)(1 + b/256)
+        monkeypatch.setattr(series, "MAX_PRODUCT_STEPS", 100)
+        wide = (1 << 1023,) * 2
+        # 4 steps at 1024 bits each way weigh 4 * 5 * 5 = 100
+        assert _mul(wide, wide, None) == (1 << 2046, 2 << 2046, 1 << 2046)
+        with pytest.raises(SeriesTooLarge, match="could take up to 200 weighted multiply-adds, "):
+            _mul((1 << 255,) * 10, (1,) * 10, None)
+        with pytest.raises(SeriesTooLarge, match="could take up to 150 weighted multiply-adds, "):
+            _mul(wide, (1 << 1023,) * 3, None)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=30),
@@ -226,8 +234,21 @@ def test_product_identity_rhs_telescoping():
 
 
 def test_product_identity_rhs_rejects_negative():
-    with pytest.raises(NegativeExponent):
+    with pytest.raises(SeriesError, match="^c_2 = -1 is negative$"):
         product_identity_rhs([1, -1], 2, 4)
+
+
+def test_product_identity_rhs_refuses_an_order_past_the_budget_before_it_allocates():
+    # 2^25 + 1 coefficients of one 64-bit word pass 2^30 bits; built, the
+    # list of ints would take about 527 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(SeriesTooLarge, match="^coefficients up to degree 33554432 would take at least "):
+            product_identity_rhs([], 2, 2**25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_product_identity_rhs_rejects_composite_p():
